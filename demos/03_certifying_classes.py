@@ -5,8 +5,6 @@ configured sample size; asymptotic classes get an extra scale probe on
 geometrically growing rings.
 """
 
-import numpy as np
-
 from mosk import certify, core, gallery
 from mosk.certify import SamplerConfig
 from mosk.combine import negate
@@ -46,8 +44,7 @@ for name, op, cfg in [
 
 print("\nwitness replay: the rotator's refutation reproduces exactly")
 est = certify.estimate_modulus(gallery.operator("rotator"), [0.5, 1.0], cfg2)
-x, xs, y, ys = (np.asarray(p) for p in est.witness)
-print(f"  stored value {est.witness_value:.3e}, replayed {certify.graph_product(x, xs, y, ys):.3e}")
+print(f"  stored value {est.witness_value:.3e}, replayed {certify.replay(est.certificate()):.3e}")
 
 print("\nthe scale probe refutes what no finite box can: cbrt's modulus decays")
 inv = core.invert(gallery.operator("cubic"))

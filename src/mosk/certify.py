@@ -16,12 +16,16 @@ certifiers therefore add a geometric *scale probe*: the same statistic is
 re-estimated on rings of radius ``ring_base * 2^k`` and a monotone decay of
 the statistic across rings (below ``decay_threshold``) counts as a
 refutation, with the extremal pair of the last ring as witness.
+
+Every sampled certifier runs one engine driven by the class table
+:data:`CLASSES`; :func:`replay` evaluates the same table entry on the
+stored witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,11 +33,10 @@ from .core import (
     GraphSample,
     MonotoneOperator,
     NonexpansiveMap,
-    invert,
     minty_sample,
     reflected_map,
 )
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalFailure
 
 STRATEGIES = ("independent", "antithetic", "radial-shells")
 
@@ -45,6 +48,10 @@ TOL_POS = 1e-12
 
 CONSISTENT = "consistent"
 REFUTED = "refuted"
+
+# Scale-probe defaults of the profile certifiers (modulus and CLD).
+RING_BASE, RING_COUNT, RING_SAMPLES = 1.0, 15, 2048
+DECAY_THRESHOLD, MIN_RING_PAIRS = 0.05, 24
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +175,22 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
     return rings
 
 
-def _geometric_decay(values, counts, min_pairs, threshold, slack=1.3):
-    """True when the per-ring statistic is monotone-ish decreasing and the
-    last valid value is below ``threshold`` times the first."""
-    seq = [
-        float(v)
-        for v, c in zip(values, counts)
-        if c >= min_pairs and np.isfinite(v)
-    ]
-    if len(seq) < 4 or seq[0] <= 0.0:
-        return False
-    for prev, nxt in zip(seq, seq[1:]):
-        if nxt > prev * slack:
-            return False
-    return seq[-1] <= threshold * seq[0]
+def _draw(cfg: SamplerConfig, knots, lift, ring_base=RING_BASE, ring_count=RING_COUNT,
+          ring_samples=RING_SAMPLES):
+    """The pairs of a profile probe as ``(radius, lift(x, y))`` rows: first
+    the sampled batch with shells at ``knots`` (radius ``None``), then the
+    scale rings (``None`` in place of pairs for a ring the ladder skips)."""
+    X, Y = pair_batches(cfg, shell_distances=knots)
+    rng = np.random.default_rng(cfg.seed + 1)
+    rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_base, ring_count, ring_samples)
+    return [(r, None if x is None else lift(x, y)) for r, x, y in [(None, X, Y)] + rings]
+
+
+def _knots(values, label: str) -> list:
+    knots = sorted(float(v) for v in values)
+    if not knots or knots[0] <= 0:
+        raise DomainError(f"{label} must be positive")
+    return knots
 
 
 # ---------------------------------------------------------------------------
@@ -225,120 +234,232 @@ def _points(*arrays) -> list:
     return [[float(v) for v in np.atleast_1d(a)] for a in arrays]
 
 
-def certify_lipschitz(T: NonexpansiveMap, cfg: SamplerConfig) -> ClassCertificate:
-    """Estimate the supremal Lipschitz ratio; refute nonexpansiveness when
-    it exceeds ``1 + TOL_CERT``."""
-    X, Y = pair_batches(cfg)
-    dist = np.linalg.norm(X - Y, axis=1)
+# ---------------------------------------------------------------------------
+# The certifier engine
+# ---------------------------------------------------------------------------
+#
+# Sampled pairs (x, y) are lifted to four arrays (x, u, y, v): u = T(x) and
+# v = T(y) for a map, the graph points (x, u) and (y, v) for an operator.  A
+# class statistic gives every pair a distance and a value.  Pairs at
+# distance 0 carry no evidence and are dropped; a non-finite distance or
+# value raises NumericalFailure, so failed arithmetic never passes for
+# consistency.  The class extreme over a selection of pairs is the estimate
+# and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
+
+
+def _sq(a):
+    return np.sum(a**2, axis=1)
+
+
+def _ratio(x, u, y, v, params):
+    """``|u - v| / |x - y|``: Lipschitz ratio of a map, growth ratio of a graph."""
+    dist = np.linalg.norm(x - y, axis=1)
+    return dist, np.linalg.norm(u - v, axis=1) / dist
+
+
+def _firm(x, u, y, v, params):
+    """Violation of ``|u-v|^2 + |(x-u)-(y-v)|^2 <= |x-y|^2``."""
+    d2 = _sq(x - y)
+    return np.sqrt(d2), _sq(u - v) + _sq((x - u) - (y - v)) - d2
+
+
+def _averaged(x, u, y, v, params):
+    """Violation of ``(1-a)|(x-u)-(y-v)|^2 <= a(|x-y|^2 - |u-v|^2)``."""
+    a, d2 = params["alpha"], _sq(x - y)
+    return np.sqrt(d2), (1.0 - a) * _sq((x - u) - (y - v)) - a * (d2 - _sq(u - v))
+
+
+def _product(x, u, y, v, params):
+    """The monotonicity product ``<x-y, u-v>``."""
+    dx = x - y
+    return np.linalg.norm(dx, axis=1), np.sum(dx * (u - v), axis=1)
+
+
+def _sigma(x, u, y, v, params):
+    """The strong-monotonicity ratio ``<x-y, u-v> / |x-y|^2``."""
+    dx = x - y
+    d2 = np.sum(dx * dx, axis=1)
+    return np.sqrt(d2), np.sum(dx * (u - v), axis=1) / d2
+
+
+class ClassSpec(NamedTuple):
+    """A class table row: ``statistic(x, u, y, v, params)`` gives the
+    per-pair ``(distance, value)``, ``extreme`` (``np.argmax`` or
+    ``np.argmin``) picks the worst pair and ``refutes(value, params)`` is
+    the refutation threshold."""
+
+    statistic: Callable
+    extreme: Callable
+    refutes: Callable
+
+
+CLASSES = {
+    "nonexpansive": ClassSpec(_ratio, np.argmax, lambda v, p: v > 1.0 + TOL_CERT),
+    "banach-contraction": ClassSpec(_ratio, np.argmax, lambda v, p: v >= 1.0 - p["margin"]),
+    "contraction-large-distances": ClassSpec(_ratio, np.argmax, lambda v, p: v >= 1.0 - TOL_CERT),
+    "firmly-nonexpansive": ClassSpec(_firm, np.argmax, lambda v, p: v > TOL_CERT),
+    "averaged": ClassSpec(_averaged, np.argmax, lambda v, p: v > TOL_CERT),
+    "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS),
+    "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT),
+}
+
+
+class _Batch(NamedTuple):
+    points: tuple       # the arrays a witness is read from
+    keep: Optional[np.ndarray]  # which of their rows are kept pairs (None: all)
+    dist: np.ndarray
+    value: np.ndarray
+
+
+class _Extreme(NamedTuple):
+    value: Optional[float]  # None when no pair was selected
+    witness: Optional[list]
+    count: int              # pairs selected
+
+
+_EMPTY = _Extreme(None, None, 0)
+
+
+def _lift(target):
+    """``(x, y) -> (x, u, y, v)``: graph points of an operator, values of a map."""
+    if isinstance(target, MonotoneOperator):
+        return lambda x, y: (*minty_sample(target, x), *minty_sample(target, y))
+    return lambda x, y: (x, target(x), y, target(y))
+
+
+# Rows per block of a statistic, so that its temporaries stay small beside
+# the (n, dim) arrays of the pairs.
+_BLOCK = 4096
+
+
+def _measure(name: str, arrays, graph: bool, params=None) -> _Batch:
+    """The class statistic on lifted pairs, pairs at distance 0 dropped."""
+    n = len(arrays[0])
+    dist, value = np.empty(n), np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, n, _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            dist[rows], value[rows] = CLASSES[name].statistic(*(a[rows] for a in arrays), params)
     keep = dist > 0
-    ratio = np.linalg.norm(T(X) - T(Y), axis=1)[keep] / dist[keep]
-    i = int(np.argmax(ratio))
-    sup = float(ratio[i])
-    refuted = sup > 1.0 + TOL_CERT
-    Xk, Yk = X[keep], Y[keep]
+    if not np.all(np.isfinite(dist)):
+        raise NumericalFailure(f"non-finite {name} distance on the sampled pairs")
+    if np.all(keep):
+        keep = None
+    else:
+        dist, value = dist[keep], value[keep]
+    if not np.all(np.isfinite(value)):
+        raise NumericalFailure(f"non-finite {name} statistic on the sampled pairs")
+    return _Batch(arrays if graph else arrays[::2], keep, dist, value)
+
+
+def _measure_draw(name: str, lifted, graph: bool) -> list:
+    """``(radius, batch)`` for each ``(radius, arrays)`` of a lifted draw."""
+    return [(r, None if a is None else _measure(name, a, graph)) for r, a in lifted]
+
+
+def _extreme(name: str, batches, select=None) -> _Extreme:
+    """The worst kept pair over ``batches`` where ``select(dist)`` holds (all
+    pairs when ``None``); an earlier batch wins a tie, as in one argmax over
+    their concatenation."""
+    pick, best, count = CLASSES[name].extreme, _EMPTY, 0
+    for b in batches:
+        mask = None if select is None else select(b.dist)
+        vals = b.value if mask is None else b.value[mask]
+        if vals.size == 0:
+            continue
+        count += vals.size
+        j = int(pick(vals))
+        if best.value is None or pick([best.value, vals[j]]) == 1:  # strictly worse
+            row = j if mask is None else np.flatnonzero(mask)[j]
+            row = row if b.keep is None else np.flatnonzero(b.keep)[row]
+            best = _Extreme(float(vals[j]), _points(*(a[row] for a in b.points)), 0)
+    return best._replace(count=count)
+
+
+def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: int,
+                 samples: int, hit: Optional[_Extreme] = None, notes: str = ""):
+    """The one place certificates are built; a refuting ``hit`` is the
+    witness."""
+    hit = hit if refuted and hit is not None else _EMPTY
     return ClassCertificate(
-        class_name="nonexpansive",
-        params={"sampler": cfg.describe()},
-        estimates=[{"probe": 1.0, "value": sup}],
+        class_name=name,
+        params=params,
+        estimates=estimates,
         verdict=REFUTED if refuted else CONSISTENT,
-        witness=_points(Xk[i], Yk[i]) if refuted else None,
-        witness_value=sup if refuted else None,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
+        witness=hit.witness,
+        witness_value=hit.value,
+        seed=seed,
+        sample_count=samples,
+        notes=notes,
     )
 
 
-def firm_violation(F, x, y) -> float:
-    """Violation of the firm-nonexpansiveness inequality at one pair."""
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    fx, fy = F(x), F(y)
-    lhs = np.sum((fx - fy) ** 2) + np.sum(((x - fx) - (y - fy)) ** 2)
-    return float(lhs - np.sum((x - y) ** 2))
+def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
+    """Certificate of a class from the worst of one batch of sampled pairs."""
+    X, Y = pair_batches(cfg)
+    graph = isinstance(target, MonotoneOperator)
+    worst = _extreme(name, [_measure(name, _lift(target)(X, Y), graph, params)])
+    vacuous = worst.value is None
+    return _certificate(
+        name, {**params, "sampler": cfg.describe()}, [{"probe": probe, "value": worst.value}],
+        not vacuous and CLASSES[name].refutes(worst.value, params), cfg.seed, cfg.sample_count,
+        worst, notes="vacuous: no sampled pair has x != y" if vacuous else "",
+    )
+
+
+def _ring_probe(name: str, rings, floor: float, min_pairs: int, threshold: float,
+                decaying=float):
+    """The scale probe: per ring ``(radius, worst pair at distance >= floor)``
+    and, when ``decaying(value)`` falls geometrically across the rings with
+    at least ``min_pairs`` pairs (never up by more than 30 %, the last at
+    most ``threshold`` times the first), the last such ring's worst pair."""
+    ends = [(r, _extreme(name, [] if b is None else [b], lambda d: d >= floor))
+            for r, b in rings]
+    valid = [e for _, e in ends if e.count >= min_pairs and e.value is not None]
+    seq = [decaying(e.value) for e in valid]
+    decays = (
+        len(seq) >= 4
+        and seq[0] > 0.0
+        and all(nxt <= prev * 1.3 for prev, nxt in zip(seq, seq[1:]))
+        and seq[-1] <= threshold * seq[0]
+    )
+    return ends, (valid[-1] if decays else None)
+
+
+# ---------------------------------------------------------------------------
+# Map classes
+# ---------------------------------------------------------------------------
+
+
+def certify_lipschitz(T: NonexpansiveMap, cfg: SamplerConfig) -> ClassCertificate:
+    """Estimate the supremal Lipschitz ratio; refute nonexpansiveness when
+    it exceeds ``1 + TOL_CERT``."""
+    return _certify("nonexpansive", T, cfg, {}, 1.0)
 
 
 def certify_firm(F: NonexpansiveMap, cfg: SamplerConfig) -> ClassCertificate:
     """Max violation of ``|Fx-Fy|^2 + |(Id-F)x-(Id-F)y|^2 <= |x-y|^2``."""
-    X, Y = pair_batches(cfg)
-    FX, FY = F(X), F(Y)
-    lhs = np.sum((FX - FY) ** 2, axis=1) + np.sum(((X - FX) - (Y - FY)) ** 2, axis=1)
-    viol = lhs - np.sum((X - Y) ** 2, axis=1)
-    i = int(np.argmax(viol))
-    worst = float(viol[i])
-    refuted = worst > TOL_CERT
-    return ClassCertificate(
-        class_name="firmly-nonexpansive",
-        params={"sampler": cfg.describe()},
-        estimates=[{"probe": 0.0, "value": worst}],
-        verdict=REFUTED if refuted else CONSISTENT,
-        witness=_points(X[i], Y[i]) if refuted else None,
-        witness_value=worst if refuted else None,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
-    )
-
-
-def averaged_violation(T, alpha, x, y) -> float:
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    tx, ty = T(x), T(y)
-    lhs = (1.0 - alpha) * np.sum(((x - tx) - (y - ty)) ** 2)
-    rhs = alpha * (np.sum((x - y) ** 2) - np.sum((tx - ty) ** 2))
-    return float(lhs - rhs)
+    return _certify("firmly-nonexpansive", F, cfg, {}, 0.0)
 
 
 def certify_averaged(T: NonexpansiveMap, alpha: float, cfg: SamplerConfig) -> ClassCertificate:
     """Max violation of the alpha-averagedness inequality."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    X, Y = pair_batches(cfg)
-    TX, TY = T(X), T(Y)
-    lhs = (1.0 - alpha) * np.sum(((X - TX) - (Y - TY)) ** 2, axis=1)
-    rhs = alpha * (np.sum((X - Y) ** 2, axis=1) - np.sum((TX - TY) ** 2, axis=1))
-    viol = lhs - rhs
-    i = int(np.argmax(viol))
-    worst = float(viol[i])
-    refuted = worst > TOL_CERT
-    return ClassCertificate(
-        class_name="averaged",
-        params={"alpha": float(alpha), "sampler": cfg.describe()},
-        estimates=[{"probe": float(alpha), "value": worst}],
-        verdict=REFUTED if refuted else CONSISTENT,
-        witness=_points(X[i], Y[i]) if refuted else None,
-        witness_value=worst if refuted else None,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
-    )
+    return _certify("averaged", T, cfg, {"alpha": float(alpha)}, float(alpha))
 
 
 def certify_banach_contraction(T: NonexpansiveMap, cfg: SamplerConfig,
                                margin: float = 1e-4) -> ClassCertificate:
     """Refuted when the sampled Lipschitz ratio comes within ``margin`` of 1
     (near-isometric pairs exist, so no uniform factor below one is credible)."""
-    X, Y = pair_batches(cfg)
-    dist = np.linalg.norm(X - Y, axis=1)
-    keep = dist > 0
-    ratio = np.linalg.norm(T(X) - T(Y), axis=1)[keep] / dist[keep]
-    i = int(np.argmax(ratio))
-    sup = float(ratio[i])
-    refuted = sup >= 1.0 - margin
-    Xk, Yk = X[keep], Y[keep]
-    return ClassCertificate(
-        class_name="banach-contraction",
-        params={"margin": margin, "sampler": cfg.describe()},
-        estimates=[{"probe": 1.0 - margin, "value": sup}],
-        verdict=REFUTED if refuted else CONSISTENT,
-        witness=_points(Xk[i], Yk[i]) if refuted else None,
-        witness_value=sup if refuted else None,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
-    )
+    return _certify("banach-contraction", T, cfg, {"margin": margin}, 1.0 - margin)
 
 
 def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float], cfg: SamplerConfig,
-                *, ring_base: float = 1.0, ring_count: int = 15,
-                ring_samples: int = 2048, decay_threshold: float = 0.05,
-                min_ring_pairs: int = 24) -> ClassCertificate:
+                *, ring_base: float = RING_BASE, ring_count: int = RING_COUNT,
+                ring_samples: int = RING_SAMPLES, decay_threshold: float = DECAY_THRESHOLD,
+                min_ring_pairs: int = MIN_RING_PAIRS) -> ClassCertificate:
     """Contraction-for-large-distances profile ``eps -> beta(eps)``.
 
     ``beta(eps)`` is the supremal ratio over sampled pairs at distance at
@@ -347,86 +468,33 @@ def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float], cfg: SamplerConfi
     measured on geometrically growing rings decays below
     ``decay_threshold`` (ratio tending to one at infinity).
     """
-    eps = sorted(float(e) for e in eps_list)
-    if not eps or eps[0] <= 0:
-        raise DomainError("eps_list must be positive")
-    X, Y = pair_batches(cfg, shell_distances=eps)
-    rng = np.random.default_rng(cfg.seed + 1)
-    rings = _ring_pair_batches(rng, cfg.dim, eps[0], ring_base, ring_count, ring_samples)
+    eps = _knots(eps_list, "eps_list")
+    lifted = _draw(cfg, eps, _lift(T), ring_base, ring_count, ring_samples)
+    return _cld(lifted, eps, cfg, decay_threshold, min_ring_pairs)
 
-    def ratios(x, y):
-        dist = np.linalg.norm(x - y, axis=1)
-        keep = dist > 0
-        return dist[keep], np.linalg.norm(T(x[keep]) - T(y[keep]), axis=1) / dist[keep], x[keep], y[keep]
 
-    dist, ratio, Xk, Yk = ratios(X, Y)
-    ring_stats = []
-    for r, xk, yk in rings:
-        if xk is None:
-            ring_stats.append((r, None, None, None, None, 0))
-            continue
-        dk, rk, xkk, ykk = ratios(xk, yk)
-        sel = dk >= eps[0]
-        if not np.any(sel):
-            ring_stats.append((r, None, None, None, None, 0))
-            continue
-        j = int(np.argmax(rk[sel]))
-        ring_stats.append(
-            (r, float(rk[sel][j]), None, xkk[sel][j], ykk[sel][j], int(np.sum(sel)))
-        )
-        dist = np.concatenate([dist, dk])
-        ratio = np.concatenate([ratio, rk])
-        Xk = np.concatenate([Xk, xkk])
-        Yk = np.concatenate([Yk, ykk])
-
-    estimates = []
-    worst_pair = None
-    worst_val = -np.inf
-    for e in eps:
-        sel = dist >= e
-        if not np.any(sel):
-            estimates.append({"probe": e, "value": None})
-            continue
-        j = int(np.argmax(ratio[sel]))
-        val = float(ratio[sel][j])
-        estimates.append({"probe": e, "value": val})
-        if val > worst_val:
-            worst_val = val
-            worst_pair = (Xk[sel][j], Yk[sel][j])
-
-    sups = [r[1] if r[1] is not None else np.nan for r in ring_stats]
-    cnts = [r[5] for r in ring_stats]
-    one_minus = [1.0 - s if np.isfinite(s) else np.nan for s in sups]
-    increasing = _geometric_decay(one_minus, cnts, min_ring_pairs, decay_threshold)
-
-    absolute = worst_val >= 1.0 - TOL_CERT
-    refuted = absolute or increasing
-    witness = None
-    witness_value = None
-    if absolute and worst_pair is not None:
-        witness = _points(*worst_pair)
-        witness_value = worst_val
-    elif increasing:
-        last = [r for r in ring_stats if r[5] >= min_ring_pairs and r[1] is not None][-1]
-        witness = _points(last[3], last[4])
-        witness_value = last[1]
-    return ClassCertificate(
-        class_name="contraction-large-distances",
-        params={
+def _cld(lifted, eps, cfg, decay_threshold=DECAY_THRESHOLD,
+         min_ring_pairs=MIN_RING_PAIRS) -> ClassCertificate:
+    name = "contraction-large-distances"
+    batches = _measure_draw(name, lifted, False)
+    # the ring pairs join the sampled batch in beta(eps)
+    pool = [b for _, b in batches if b is not None]
+    betas = [_extreme(name, pool, lambda d, e=e: d >= e) for e in eps]
+    worst = max((b for b in betas if b.value is not None), key=lambda b: b.value, default=None)
+    absolute = worst is not None and CLASSES[name].refutes(worst.value, {})
+    ends, decay = _ring_probe(name, batches[1:], eps[0], min_ring_pairs, decay_threshold,
+                              lambda v: 1.0 - v)
+    return _certificate(
+        name,
+        {
             "eps_list": eps,
             "sampler": cfg.describe(),
-            "rings": [
-                {"radius": r, "sup_ratio": s, "pairs": c}
-                for (r, s, _, _, _, c) in ring_stats
-            ],
+            "rings": [{"radius": r, "sup_ratio": e.value, "pairs": e.count} for r, e in ends],
         },
-        estimates=estimates,
-        verdict=REFUTED if refuted else CONSISTENT,
-        witness=witness,
-        witness_value=witness_value,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
-        notes="refuted by ring decay of 1 - beta" if (increasing and not absolute) else "",
+        [{"probe": e, "value": b.value} for e, b in zip(eps, betas)],
+        absolute or decay is not None, cfg.seed, cfg.sample_count,
+        worst if absolute else decay,
+        notes="refuted by ring decay of 1 - beta" if decay and not absolute else "",
     )
 
 
@@ -490,33 +558,19 @@ class ModulusEstimate(Modulus):
     notes: str = ""
 
     def certificate(self, cfg_desc: Optional[dict] = None) -> ClassCertificate:
-        return ClassCertificate(
-            class_name="uniformly-monotone",
-            params={"rings": list(self.rings), **({"sampler": cfg_desc} if cfg_desc else {})},
-            estimates=[
-                {"probe": t, "value": (None if not np.isfinite(v) else v)}
-                for t, v in self.table
-            ],
-            verdict=self.verdict,
-            witness=self.witness,
-            witness_value=self.witness_value,
-            seed=self.seed,
-            sample_count=self.sample_count,
-            notes=self.notes,
+        return _certificate(
+            "uniformly-monotone",
+            {"rings": list(self.rings), **({"sampler": cfg_desc} if cfg_desc else {})},
+            [{"probe": t, "value": (None if not np.isfinite(v) else v)} for t, v in self.table],
+            self.verdict == REFUTED, self.seed, self.sample_count,
+            _Extreme(self.witness_value, self.witness, 0), self.notes,
         )
 
 
-def graph_product(x, xstar, y, ystar) -> float:
-    """The monotonicity product ``<x - y, x* - y*>`` of two graph points."""
-    dx = np.atleast_1d(np.asarray(x, float)) - np.atleast_1d(np.asarray(y, float))
-    ds = np.atleast_1d(np.asarray(xstar, float)) - np.atleast_1d(np.asarray(ystar, float))
-    return float(np.sum(dx * ds))
-
-
 def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerConfig,
-                     *, ring_base: float = 1.0, ring_count: int = 15,
-                     ring_samples: int = 2048, decay_threshold: float = 0.05,
-                     min_ring_pairs: int = 24) -> ModulusEstimate:
+                     *, ring_base: float = RING_BASE, ring_count: int = RING_COUNT,
+                     ring_samples: int = RING_SAMPLES, decay_threshold: float = DECAY_THRESHOLD,
+                     min_ring_pairs: int = MIN_RING_PAIRS) -> ModulusEstimate:
     """Empirical modulus ``phi_hat(t) = inf <x-y, x*-y*>`` over sampled graph
     pairs with ``|x-y|`` in ``[t_i, t_{i+1})``.
 
@@ -525,86 +579,34 @@ def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerC
     (``TOL_POS``) or when the infimum at the smallest ``t`` decays
     geometrically across scale rings.
     """
-    knots = sorted(float(t) for t in t_list)
-    if not knots or knots[0] <= 0:
-        raise DomainError("t_list must be positive")
-    Z1, Z2 = pair_batches(cfg, shell_distances=knots)
-    g1 = minty_sample(A, Z1)
-    g2 = minty_sample(A, Z2)
+    knots = _knots(t_list, "t_list")
+    lifted = _draw(cfg, knots, _lift(A), ring_base, ring_count, ring_samples)
+    return _modulus(A.name, lifted, knots, cfg, decay_threshold, min_ring_pairs)
 
-    def stats(ga, gb):
-        dx = ga.x - gb.x
-        dist = np.linalg.norm(dx, axis=1)
-        prod = np.sum(dx * (ga.xstar - gb.xstar), axis=1)
-        return dist, prod
 
-    dist, prod = stats(g1, g2)
+def _modulus(label, lifted, knots, cfg, decay_threshold=DECAY_THRESHOLD,
+             min_ring_pairs=MIN_RING_PAIRS) -> ModulusEstimate:
+    name = "uniformly-monotone"
+    (_, main), *rings = _measure_draw(name, lifted, True)
     edges = knots + [np.inf]
-    table = []
-    witness = None
-    witness_value = None
-    refuted_pos = False
-    for t, nxt in zip(edges[:-1], edges[1:]):
-        sel = (dist >= t) & (dist < nxt)
-        if not np.any(sel):
-            table.append((t, np.inf))
-            continue
-        j = int(np.argmin(prod[sel]))
-        val = float(prod[sel][j])
-        table.append((t, val))
-        if val <= TOL_POS and not refuted_pos:
-            refuted_pos = True
-            witness = _points(g1.x[sel][j], g1.xstar[sel][j], g2.x[sel][j], g2.xstar[sel][j])
-            witness_value = val
-
-    rng = np.random.default_rng(cfg.seed + 1)
-    rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_base, ring_count, ring_samples)
-    ring_rows = []
-    mins, cnts, ring_witness = [], [], []
-    for r, zx, zy in rings:
-        if zx is None:
-            ring_rows.append({"radius": r, "min_product": None, "pairs": 0})
-            mins.append(np.nan)
-            cnts.append(0)
-            ring_witness.append(None)
-            continue
-        ga, gb = minty_sample(A, zx), minty_sample(A, zy)
-        dk, pk = stats(ga, gb)
-        sel = dk >= knots[0]
-        if not np.any(sel):
-            ring_rows.append({"radius": r, "min_product": None, "pairs": 0})
-            mins.append(np.nan)
-            cnts.append(0)
-            ring_witness.append(None)
-            continue
-        j = int(np.argmin(pk[sel]))
-        mins.append(float(pk[sel][j]))
-        cnts.append(int(np.sum(sel)))
-        ring_rows.append({"radius": r, "min_product": mins[-1], "pairs": cnts[-1]})
-        ring_witness.append(
-            _points(ga.x[sel][j], ga.xstar[sel][j], gb.x[sel][j], gb.xstar[sel][j])
-        )
-
-    decays = _geometric_decay(mins, cnts, min_ring_pairs, decay_threshold)
-    if decays and not refuted_pos:
-        last = max(
-            i for i, c in enumerate(cnts) if c >= min_ring_pairs and np.isfinite(mins[i])
-        )
-        witness = ring_witness[last]
-        witness_value = mins[last]
-
-    verdict = REFUTED if (refuted_pos or decays) else CONSISTENT
+    bins = [_extreme(name, [main], lambda d, lo=lo, hi=hi: (d >= lo) & (d < hi))
+            for lo, hi in zip(edges, edges[1:])]
+    hit = next((e for e in bins if e.value is not None and CLASSES[name].refutes(e.value, {})),
+               None)
+    ends, decay = _ring_probe(name, rings, knots[0], min_ring_pairs, decay_threshold)
+    by_decay = hit is None and decay is not None
+    hit = decay if by_decay else hit
     return ModulusEstimate(
         kind="empirical",
-        label=f"phi_hat[{A.name}]",
-        table=tuple(table),
-        verdict=verdict,
-        witness=witness,
-        witness_value=witness_value,
-        rings=tuple(ring_rows),
+        label=f"phi_hat[{label}]",
+        table=tuple((t, np.inf if e.value is None else e.value) for t, e in zip(knots, bins)),
+        verdict=CONSISTENT if hit is None else REFUTED,
+        witness=None if hit is None else hit.witness,
+        witness_value=None if hit is None else hit.value,
+        rings=tuple({"radius": r, "min_product": e.value, "pairs": e.count} for r, e in ends),
         seed=cfg.seed,
         sample_count=cfg.sample_count,
-        notes="refuted by ring decay of the modulus" if (decays and not refuted_pos) else "",
+        notes="refuted by ring decay of the modulus" if by_decay else "",
     )
 
 
@@ -620,41 +622,7 @@ def tighten_modulus(m: Modulus, alpha_at_1: float) -> Modulus:
 def certify_strongly_monotone(A: Union[MonotoneOperator, NonexpansiveMap],
                               cfg: SamplerConfig) -> ClassCertificate:
     """Infimal ratio ``<x-y, x*-y*> / |x-y|^2`` over sampled graph pairs."""
-    X, Y = pair_batches(cfg)
-    if isinstance(A, MonotoneOperator):
-        ga, gb = minty_sample(A, X), minty_sample(A, Y)
-        dx = ga.x - gb.x
-        ds = ga.xstar - gb.xstar
-        wit = (ga, gb)
-    else:
-        dx = X - Y
-        ds = A(X) - A(Y)
-        wit = None
-    d2 = np.sum(dx * dx, axis=1)
-    keep = d2 > 0
-    ratio = np.sum(dx * ds, axis=1)[keep] / d2[keep]
-    i = int(np.argmin(ratio))
-    sigma = float(ratio[i])
-    refuted = sigma <= TOL_CERT
-    witness = None
-    if refuted:
-        if wit is not None:
-            ga, gb = wit
-            witness = _points(
-                ga.x[keep][i], ga.xstar[keep][i], gb.x[keep][i], gb.xstar[keep][i]
-            )
-        else:
-            witness = _points(X[keep][i], Y[keep][i])
-    return ClassCertificate(
-        class_name="strongly-monotone",
-        params={"sampler": cfg.describe()},
-        estimates=[{"probe": 0.0, "value": sigma}],
-        verdict=REFUTED if refuted else CONSISTENT,
-        witness=witness,
-        witness_value=sigma if refuted else None,
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
-    )
+    return _certify("strongly-monotone", A, cfg, {}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +727,33 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     )
 
 
+_SEQUENTIAL_MODES = {"strongly-nonexpansive": "sne", "super-strongly-nonexpansive": "ssne"}
+
+
+def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
+                       families: Sequence[WitnessFamily] = ()) -> ClassCertificate:
+    """SNE or SSNE certificate (``name`` is the class) from sequential
+    probes on ``families`` plus four scaled-pair families drawn from
+    ``cfg.seed``; refuted when any family refutes."""
+    mode = _SEQUENTIAL_MODES[name]
+    rng = np.random.default_rng(cfg.seed)
+    families = list(families)
+    for i in range(4):
+        u = rng.standard_normal(T.dim)
+        u /= max(np.linalg.norm(u), 1e-300)
+        c = rng.uniform(0.5, 2.0) * rng.standard_normal(T.dim)
+        families.append(scaled_pair_family(u, c, name=f"scaled-{i}", n_cap=40))
+    reports = [check_sequential(T, fam, mode, n_max=40) for fam in families]
+    return _certificate(
+        name,
+        {"families": [r.family for r in reports]},
+        [{"probe": float(i), "value": r.observed["premise_tail_max"]}
+         for i, r in enumerate(reports)],
+        any(r.refuted for r in reports), cfg.seed, cfg.sample_count,
+        notes="sequential probe over witness families",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Graph-sample reports: growth condition, coercivity, modulus inequality
 # ---------------------------------------------------------------------------
@@ -770,20 +765,24 @@ def _as_rows(a):
     return a.reshape(-1, 1) if a.ndim <= 1 else a
 
 
+def _stack(samples):
+    """``(X, X*)`` rows of a batched GraphSample or of a sequence of graph
+    points."""
+    if isinstance(samples, GraphSample):
+        return _as_rows(samples.x), _as_rows(samples.xstar)
+    rows = list(samples)
+    return (np.stack([np.atleast_1d(np.asarray(s.x, float)) for s in rows]),
+            np.stack([np.atleast_1d(np.asarray(s.xstar, float)) for s in rows]))
+
+
 def _stack_graph_pairs(pairs):
-    if (
-        isinstance(pairs, tuple)
-        and len(pairs) == 2
-        and isinstance(pairs[0], GraphSample)
-    ):
-        a, b = pairs
-        return _as_rows(a.x), _as_rows(a.xstar), _as_rows(b.x), _as_rows(b.xstar)
-    rows = list(pairs)
-    X = np.stack([np.atleast_1d(np.asarray(p[0].x, float)) for p in rows])
-    XS = np.stack([np.atleast_1d(np.asarray(p[0].xstar, float)) for p in rows])
-    Y = np.stack([np.atleast_1d(np.asarray(p[1].x, float)) for p in rows])
-    YS = np.stack([np.atleast_1d(np.asarray(p[1].xstar, float)) for p in rows])
-    return X, XS, Y, YS
+    """``(X, X*, Y, Y*)`` of two batched GraphSamples or of a sequence of
+    graph-point pairs."""
+    if isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], GraphSample):
+        first, second = pairs
+    else:
+        first, second = zip(*pairs)
+    return (*_stack(first), *_stack(second))
 
 
 @dataclass
@@ -802,13 +801,14 @@ class GrowthReport:
 def check_growth(pairs) -> GrowthReport:
     """Growth-condition probe on graph-sample pairs; the infimum over the
     largest-separation decile proxies the liminf at infinity."""
-    X, XS, Y, YS = _stack_graph_pairs(pairs)
-    dist = np.linalg.norm(X - Y, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist, ratio = _ratio(*_stack_graph_pairs(pairs), {})
     keep = dist > 0
     if not np.any(keep):
         raise DomainError("need pairs with |x - y| > 0")
-    dist = dist[keep]
-    ratio = np.linalg.norm(XS - YS, axis=1)[keep] / dist
+    if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(ratio[keep]))):
+        raise NumericalFailure("non-finite growth ratio on the graph pairs")
+    dist, ratio = dist[keep], ratio[keep]
     order = np.argsort(dist)
     top = order[-max(1, len(order) // 10):]
     return GrowthReport(
@@ -829,17 +829,17 @@ class CoerciveReport:
 
 
 def check_coercive(samples, shells: int = 8) -> CoerciveReport:
-    if isinstance(samples, GraphSample):
-        X = _as_rows(samples.x)
-        XS = _as_rows(samples.xstar)
-    else:
-        rows = list(samples)
-        X = np.stack([np.atleast_1d(np.asarray(s.x, float)) for s in rows])
-        XS = np.stack([np.atleast_1d(np.asarray(s.xstar, float)) for s in rows])
+    """Coercivity probe; a graph with every sample at ``x = 0`` has no
+    shells (empty edges and minima)."""
+    X, XS = _stack(samples)
     nrm = np.linalg.norm(X, axis=1)
     keep = nrm > 0
+    val = np.sum(X[keep] * XS[keep], axis=1) / nrm[keep]
+    if not (np.all(np.isfinite(nrm)) and np.all(np.isfinite(val))):
+        raise NumericalFailure("non-finite coercivity value on the graph samples")
+    if val.size == 0:
+        return CoerciveReport(shell_edges=np.empty(0), shell_mins=np.empty(0), increasing=False)
     nrm = nrm[keep]
-    val = np.sum(X[keep] * XS[keep], axis=1) / nrm
     edges = np.quantile(nrm, np.linspace(0.0, 1.0, shells + 1))
     mins = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -854,6 +854,34 @@ def check_coercive(samples, shells: int = 8) -> CoerciveReport:
         and seq[-1] > seq[0] + 1e-9
     )
     return CoerciveReport(shell_edges=edges, shell_mins=mins, increasing=increasing)
+
+
+def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
+    """Coercivity or growth-condition certificate (``name`` is the class).
+
+    ``target`` is an operator, whose graph is sampled through its resolvent
+    from ``cfg``, or an explicit witness generator ``n -> (first, second)``
+    of graph-point pairs, probed at ``n = 1..200``.
+    """
+    if isinstance(target, MonotoneOperator):
+        Z1, Z2 = pair_batches(cfg)
+        pairs = (minty_sample(target, Z1), minty_sample(target, Z2))
+    else:
+        pairs = [target(n) for n in range(1, 201)]
+    if name == "growth-condition":
+        rep = check_growth(pairs)
+        return _certificate(name, {}, [{"probe": 0.9, "value": rep.top_decile_inf}],
+                            not rep.growth_holds, cfg.seed, cfg.sample_count)
+    X, XS, Y, YS = _stack_graph_pairs(pairs)
+    rep = check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])))
+    estimates = [
+        {"probe": float(e), "value": (None if not np.isfinite(v) else float(v))}
+        for e, v in zip(rep.shell_edges[1:], rep.shell_mins)
+    ]
+    if not estimates:  # no shells: a vacuous probe
+        return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, cfg.seed,
+                            cfg.sample_count, notes="vacuous: every sampled x is 0")
+    return _certificate(name, {}, estimates, not rep.increasing, cfg.seed, cfg.sample_count)
 
 
 @dataclass
@@ -922,10 +950,26 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
                    eps_list: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> SelfDualReport:
     """Run the modulus estimator on ``A`` and ``A^{-1}`` and the CLD
     certifier on the reflected resolvent, and compare the verdict pattern
-    against the self-duality equivalence."""
-    m1 = estimate_modulus(A, t_list, cfg)
-    m2 = estimate_modulus(invert(A), t_list, cfg)
-    c3 = certify_cld(reflected_map(A), eps_list, cfg)
+    against the self-duality equivalence.
+
+    The three probes share one draw when ``eps_list`` and ``t_list`` hold
+    the same values, and ``J_A`` runs once per drawn point: ``A^{-1}``'s
+    graph and ``R_A`` follow from it as ``Id - J_A`` and ``2 J_A - Id``.
+    """
+    knots, eps = _knots(t_list, "t_list"), _knots(eps_list, "eps_list")
+    draw = _draw(cfg, knots, lambda x, y: (x, y, minty_sample(A, x), minty_sample(A, y)))
+
+    def lifted(arrays):  # lazily, so a map probe drops each batch's values once measured
+        return ((r, None if d is None else arrays(*d)) for r, d in draw)
+
+    m1 = _modulus(A.name, lifted(lambda x, y, g, h: (*g, *h)), knots, cfg)
+    # A^-1's graph and R_A by the expressions of invert() and reflected_map()
+    m2 = _modulus(f"{A.name}^-1", lifted(lambda x, y, g, h: (g.xstar, x - g.xstar,
+                                                             h.xstar, y - h.xstar)), knots, cfg)
+    if eps == knots:
+        c3 = _cld(lifted(lambda x, y, g, h: (x, 2.0 * g.x - x, y, 2.0 * h.x - y)), eps, cfg)
+    else:
+        c3 = certify_cld(reflected_map(A), eps, cfg)
     verdicts = (m1.verdict, m2.verdict, c3.verdict)
     agrees = ((m1.verdict == CONSISTENT) and (m2.verdict == CONSISTENT)) == (
         c3.verdict == CONSISTENT
@@ -965,23 +1009,17 @@ def compare_with_declaration(op: MonotoneOperator, cert: ClassCertificate) -> di
 def replay(cert: ClassCertificate, target=None) -> float:
     """Recompute the violating statistic from a certificate's stored witness.
 
-    ``target`` is the map (ratio/violation classes) and is unused for graph
-    witnesses, which carry both graph points.
+    The class table's statistic runs on the witness as a one-row batch.
+    ``target`` is the map of a two-point witness ``(x, y)``; a four-point
+    witness ``(x, x*, y, y*)`` carries both graph points and needs none.
     """
     if cert.witness is None:
         raise DomainError("certificate has no witness to replay")
-    pts = [np.asarray(p, dtype=float) for p in cert.witness]
-    name = cert.class_name
-    if name in ("nonexpansive", "banach-contraction", "contraction-large-distances"):
+    spec = CLASSES.get(cert.class_name)
+    if spec is None:
+        raise DomainError(f"no replay rule for class {cert.class_name!r}")
+    pts = [np.asarray(p, dtype=float)[None, :] for p in cert.witness]
+    if len(pts) == 2:
         x, y = pts
-        return float(
-            np.linalg.norm(target(x) - target(y)) / np.linalg.norm(x - y)
-        )
-    if name == "firmly-nonexpansive":
-        return firm_violation(target, *pts)
-    if name == "averaged":
-        return averaged_violation(target, cert.params["alpha"], *pts)
-    if name in ("uniformly-monotone", "strongly-monotone"):
-        x, xstar, y, ystar = pts
-        return graph_product(x, xstar, y, ystar)
-    raise DomainError(f"no replay rule for class {name!r}")
+        pts = (x, target(x), y, target(y))
+    return float(spec.statistic(*pts, cert.params)[1][0])

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import certify as cert
 from . import gallery, split
-from .core import minty_sample, resolvent_map, reflected_map
+# minty_sample is not used here; it stays importable as cli.minty_sample
+# because tools that trace the library patch it on this module by name
+from .core import minty_sample, resolvent_map, reflected_map  # noqa: F401
 from .exceptions import DomainError, MoskError, StepSizeOutOfRange, UnsupportedOperator
 from .gallery import cone_subdiff_witnesses, staircase_witnesses
 
@@ -33,10 +35,8 @@ EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_NUMERICAL = 3
 
-MAP_CLASSES = {
-    "nonexpansive": cert.certify_lipschitz,
-    "banach-contraction": cert.certify_banach_contraction,
-}
+# default --t / --eps probes
+PROBES = [0.5, 1.0, 2.0, 4.0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +53,13 @@ def _float_list(text: str):
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+
+
+def _box(text: str):
+    bounds = _float_list(text)
+    if len(bounds) != 2:
+        raise argparse.ArgumentTypeError(f"need two comma-separated floats lo,hi: {text!r}")
+    return bounds
 
 
 def _parse_x0(text: str, dim: int) -> np.ndarray:
@@ -72,7 +79,11 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MOSK_SEED", "0"))
+    text = os.environ.get("MOSK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"MOSK_SEED must be an integer, got {text!r}") from None
 
 
 def _write_json(path: Optional[str], payload: dict):
@@ -97,13 +108,6 @@ def _sampler(args, dim: int) -> cert.SamplerConfig:
     )
 
 
-def _entry_map(name: str, dim: Optional[int]):
-    e = gallery.entry(name)
-    if e.make_map is not None:
-        return gallery.mapping(name, dim)
-    return reflected_map(gallery.operator(name, dim))
-
-
 def cmd_gallery(args) -> int:
     rows = []
     for name in gallery.names():
@@ -126,102 +130,59 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
-def _certify_dispatch(args):
-    name = args.op
-    dim = args.dim
-    klass = args.klass
-    if klass in MAP_CLASSES:
-        T = _entry_map(name, dim)
-        return MAP_CLASSES[klass](T, _sampler(args, T.dim))
-    if klass == "firmly-nonexpansive":
-        e = gallery.entry(name)
-        if e.make_operator is not None:
-            target = resolvent_map(gallery.operator(name, dim))
-        else:
-            target = _entry_map(name, dim)
-        return cert.certify_firm(target, _sampler(args, target.dim))
-    if klass == "averaged":
-        T = _entry_map(name, dim)
-        return cert.certify_averaged(T, args.alpha, _sampler(args, T.dim))
-    if klass == "contraction-large-distances":
-        T = _entry_map(name, dim)
-        eps = args.eps or args.t or [0.5, 1.0, 2.0, 4.0]
-        return cert.certify_cld(T, eps, _sampler(args, T.dim))
-    if klass == "uniformly-monotone":
-        A = gallery.operator(name, dim)
-        t = args.t or [0.5, 1.0, 2.0, 4.0]
-        est = cert.estimate_modulus(A, t, _sampler(args, A.dim))
-        return est.certificate(_sampler(args, A.dim).describe())
-    if klass == "strongly-monotone":
-        A = gallery.operator(name, dim)
-        return cert.certify_strongly_monotone(A, _sampler(args, A.dim))
-    if klass in ("strongly-nonexpansive", "super-strongly-nonexpansive"):
-        T = _entry_map(name, dim)
-        mode = "sne" if klass == "strongly-nonexpansive" else "ssne"
-        rng = np.random.default_rng(args.seed)
-        families = []
-        if name == "staircase":
-            families.append(gallery.witnesses("staircase"))
-        for i in range(4):
-            u = rng.standard_normal(T.dim)
-            u /= max(np.linalg.norm(u), 1e-300)
-            c = rng.uniform(0.5, 2.0) * rng.standard_normal(T.dim)
-            families.append(cert.scaled_pair_family(u, c, name=f"scaled-{i}", n_cap=40))
-        reports = [cert.check_sequential(T, fam, mode, n_max=40) for fam in families]
-        refuted = any(r.refuted for r in reports)
-        return cert.ClassCertificate(
-            class_name=klass,
-            params={"families": [r.family for r in reports]},
-            estimates=[
-                {"probe": float(i), "value": r.observed["premise_tail_max"]}
-                for i, r in enumerate(reports)
-            ],
-            verdict=cert.REFUTED if refuted else cert.CONSISTENT,
-            witness=None,
-            witness_value=None,
-            seed=args.seed,
-            sample_count=args.samples,
-            notes="sequential probe over witness families",
-        )
-    if klass in ("coercive", "growth-condition"):
-        if name == "cone-subdiff":
-            growth_pairs = [cone_subdiff_witnesses(n) for n in range(1, 201)]
-            coercive_samples = [p[0] for p in growth_pairs] + [p[1] for p in growth_pairs]
-        else:
-            A = gallery.operator(name, dim)
-            scfg = _sampler(args, A.dim)
-            Z1, Z2 = cert.pair_batches(scfg)
-            g1, g2 = minty_sample(A, Z1), minty_sample(A, Z2)
-            growth_pairs = (g1, g2)
-            coercive_samples = cert.GraphSample(
-                np.concatenate([g1.x, g2.x]), np.concatenate([g1.xstar, g2.xstar])
-            )
-        if klass == "coercive":
-            rep = cert.check_coercive(coercive_samples)
-            ok = rep.increasing
-            estimates = [
-                {"probe": float(e), "value": (None if not np.isfinite(v) else float(v))}
-                for e, v in zip(rep.shell_edges[1:], rep.shell_mins)
-            ]
-        else:
-            rep = cert.check_growth(growth_pairs)
-            ok = rep.growth_holds
-            estimates = [{"probe": 0.9, "value": rep.top_decile_inf}]
-        return cert.ClassCertificate(
-            class_name=klass,
-            params={},
-            estimates=estimates,
-            verdict=cert.CONSISTENT if ok else cert.REFUTED,
-            witness=None,
-            witness_value=None,
-            seed=args.seed,
-            sample_count=args.samples,
-        )
-    raise DomainError(f"unknown class {klass!r}")
+def _target(kind: str, name: str, dim: Optional[int]):
+    """What a certifier runs on.  ``map``: the entry's map, else its
+    operator's reflected resolvent; ``resolvent``: the operator's resolvent,
+    else the map; ``operator``: the operator; ``graph``: the operator, or the
+    witness generator of an entry that has no operator."""
+    e = gallery.entry(name)
+    if kind == "graph" and e.make_operator is None and e.make_witnesses is not None:
+        return gallery.witnesses(name)
+    if kind in ("operator", "graph"):
+        return gallery.operator(name, dim)
+    if kind == "resolvent" and e.make_operator is not None:
+        return resolvent_map(gallery.operator(name, dim))
+    if e.make_map is not None:
+        return gallery.mapping(name, dim)
+    return reflected_map(gallery.operator(name, dim))
+
+
+def _own_families(name: str) -> list:
+    """The entry's own witness family, probed beside the scaled families."""
+    e = gallery.entry(name)
+    return [gallery.witnesses(name)] if e.make_map and e.make_witnesses else []
+
+
+# --class name -> (target kind, certifier(target, sampler config, arguments))
+CERTIFIERS = {
+    "nonexpansive": ("map", lambda T, cfg, a: cert.certify_lipschitz(T, cfg)),
+    "banach-contraction": ("map", lambda T, cfg, a: cert.certify_banach_contraction(T, cfg)),
+    "firmly-nonexpansive": ("resolvent", lambda F, cfg, a: cert.certify_firm(F, cfg)),
+    "averaged": ("map", lambda T, cfg, a: cert.certify_averaged(T, a.alpha, cfg)),
+    "contraction-large-distances": (
+        "map", lambda T, cfg, a: cert.certify_cld(T, a.eps or a.t or PROBES, cfg)),
+    "uniformly-monotone": (
+        "operator",
+        lambda A, cfg, a: cert.estimate_modulus(A, a.t or PROBES, cfg).certificate(cfg.describe()),
+    ),
+    "strongly-monotone": ("operator", lambda A, cfg, a: cert.certify_strongly_monotone(A, cfg)),
+    "strongly-nonexpansive": ("map", lambda T, cfg, a: cert.certify_sequential(
+        T, "strongly-nonexpansive", cfg, _own_families(a.op))),
+    "super-strongly-nonexpansive": ("map", lambda T, cfg, a: cert.certify_sequential(
+        T, "super-strongly-nonexpansive", cfg, _own_families(a.op))),
+    "coercive": ("graph", lambda G, cfg, a: cert.certify_graph(G, "coercive", cfg)),
+    "growth-condition": (
+        "graph", lambda G, cfg, a: cert.certify_graph(G, "growth-condition", cfg)),
+}
 
 
 def cmd_certify(args) -> int:
-    certificate = _certify_dispatch(args)
+    kind, certifier = CERTIFIERS[args.klass]
+    target = _target(kind, args.op, args.dim)
+    # a built target always has the entry's dimension (witness generators
+    # carry none of their own)
+    dim = gallery.entry(args.op).default_dim if args.dim is None else args.dim
+    certificate = certifier(target, _sampler(args, dim), args)
     payload = {
         "schema": 1,
         "command": "certify",
@@ -323,8 +284,7 @@ def cmd_witness(args) -> int:
 def cmd_selfdual(args) -> int:
     A = gallery.operator(args.op, args.dim)
     scfg = _sampler(args, A.dim)
-    report = cert.check_selfdual(A, scfg, t_list=args.t or (0.5, 1.0, 2.0, 4.0),
-                                 eps_list=args.eps or (0.5, 1.0, 2.0, 4.0))
+    report = cert.check_selfdual(A, scfg, t_list=args.t or PROBES, eps_list=args.eps or PROBES)
     payload = {
         "schema": 1,
         "command": "selfdual",
@@ -357,14 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("certify", help="run a class certifier")
     c.add_argument("--op", required=True)
-    c.add_argument("--class", dest="klass", required=True)
+    c.add_argument("--class", dest="klass", required=True, choices=CERTIFIERS, metavar="CLASS",
+                   help=", ".join(CERTIFIERS))
     c.add_argument("--dim", type=int, default=None)
     c.add_argument("--t", type=_float_list, default=None, help="shell radii, e.g. 0.5,1,2")
     c.add_argument("--eps", type=_float_list, default=None, help="CLD probes, e.g. 0.01,0.1,1")
     c.add_argument("--alpha", type=float, default=0.5)
     c.add_argument("--samples", type=int, default=100_000)
     c.add_argument("--seed", type=int, default=_default_seed())
-    c.add_argument("--box", type=_float_list, default=[-50.0, 50.0])
+    c.add_argument("--box", type=_box, default=[-50.0, 50.0])
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_certify)
 
@@ -396,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--eps", type=_float_list, default=None)
     d.add_argument("--samples", type=int, default=100_000)
     d.add_argument("--seed", type=int, default=_default_seed())
-    d.add_argument("--box", type=_float_list, default=[-50.0, 50.0])
+    d.add_argument("--box", type=_box, default=[-50.0, 50.0])
     d.add_argument("--out", default=None)
     d.set_defaults(func=cmd_selfdual)
 
@@ -404,13 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (StepSizeOutOfRange, UnsupportedOperator, DomainError) as exc:
         # configuration-level failures are usage errors
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ one-dimensional operators act elementwise on arrays of any shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -309,10 +309,3 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
         direct_eval=direct_eval,
         declared_properties=props,
     )
-
-
-def with_properties(A: MonotoneOperator, **tags) -> MonotoneOperator:
-    """Copy of ``A`` with extra declared property tags."""
-    props = dict(A.declared_properties)
-    props.update(tags)
-    return replace(A, declared_properties=props)

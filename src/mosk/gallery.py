@@ -118,11 +118,6 @@ h_solver = ScalarInverseSolver(
 )
 
 
-def solve_inverse(solver: ScalarInverseSolver, value):
-    """Evaluate the inverse map at ``value`` (vectorized)."""
-    return solver.solve(value)
-
-
 def _t_minus_sin_series(t):
     # relative-accurate t - sin t for |t| <= 0.3
     t2 = t * t
@@ -348,11 +343,6 @@ def rotator_resolvent(x):
     """Resolvent of the rotator: ``(Id - S)/2`` since ``S^2 = -Id``."""
     x = np.asarray(x, dtype=float)
     return 0.5 * (x - rotator_eval(x))
-
-
-def rotator_ops(x):
-    """Pair ``(S(x), J_S(x))`` for the rotator."""
-    return rotator_eval(x), rotator_resolvent(x)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     residuals = []
     termination = TERM_MAX_ITER
     for _ in range(stop.max_iter):
-        if np.linalg.norm(x) > stop.divergence_guard:
+        if not np.linalg.norm(x) <= stop.divergence_guard:  # NaN iterates diverge too
             termination = TERM_DIVERGED
             break
         x1 = np.asarray(ev(x), dtype=float)

@@ -59,7 +59,11 @@ def test_certify_firm_examples():
 
 def test_certify_firm_explicit_pair():
     # |T1 - T0|^2 + |2(1-0)|^2 = 5 > 1 at (x, y) = (1, 0) for T = -Id
-    assert certify.firm_violation(NEG, 1.0, 0.0) == pytest.approx(4.0)
+    c = certify.ClassCertificate(
+        class_name="firmly-nonexpansive", params={}, estimates=[], verdict=REFUTED,
+        witness=[[1.0], [0.0]], witness_value=None, seed=0, sample_count=0,
+    )
+    assert certify.replay(c, NEG) == pytest.approx(4.0)
 
 
 def test_certify_averaged_examples():
@@ -147,10 +151,7 @@ def test_estimate_modulus_rotator_refuted():
     for _, v in est.table:
         assert abs(v) <= 1e-12
     # witness is replayable
-    x, xstar, y, ystar = (np.asarray(p) for p in est.witness)
-    assert certify.graph_product(x, xstar, y, ystar) == pytest.approx(
-        est.witness_value, abs=1e-12
-    )
+    assert certify.replay(est.certificate()) == pytest.approx(est.witness_value, abs=1e-12)
 
 
 def test_estimate_modulus_cubic_quartic_profile():
@@ -215,6 +216,21 @@ def test_certify_strongly_monotone():
     assert c.verdict == REFUTED
     c = certify.certify_strongly_monotone(gallery.operator("identity", 2), cfg2())
     assert c.verdict == CONSISTENT
+
+
+def test_replay_strongly_monotone_graph_witness():
+    # replay gives the stored ratio sigma, not the bare product <x-y, x*-y*>
+    cfg = SamplerConfig.symmetric(seed=3, sample_count=20_000, dim=8, half_width=50.0)
+    c = certify.certify_strongly_monotone(gallery.operator("shift", 8), cfg)
+    assert c.verdict == REFUTED and len(c.witness) == 4
+    assert certify.replay(c) == pytest.approx(c.witness_value, rel=1e-9)
+
+
+def test_replay_strongly_monotone_map_witness():
+    # a map target stores the pair (x, y); replay evaluates the map
+    c = certify.certify_strongly_monotone(NEG, cfg1(n=2_000))
+    assert c.verdict == REFUTED and len(c.witness) == 2
+    assert certify.replay(c, NEG) == pytest.approx(-1.0)
 
 
 def test_check_sequential_staircase():

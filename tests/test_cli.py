@@ -174,12 +174,42 @@ def test_selfdual_command(tmp_path):
     assert payload["report"]["agrees_with_selfduality"] is True
 
 
-def test_usage_errors_exit1():
+def test_usage_errors_exit1(monkeypatch, capsys):
     assert main(["certify", "--op", "cubic"]) == 1  # missing --class
     assert main(["bogus-command"]) == 1
     # unknown gallery identifiers are configuration errors
     assert main(["split", "--algo", "pr", "--opA", "nope", "--opB", "zero", "--x0", "1"]) == 1
     assert main(["certify", "--op", "cubic", "--class", "mystery"]) == 1
+    assert main(["certify", "--op", "cubic", "--class", "nonexpansive", "--box=5"]) == 1
+    monkeypatch.setenv("MOSK_SEED", "abc")
+    assert main(["gallery"]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --class" in err and "error: argument --box" in err
+    assert "error: MOSK_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "klass", ["nonexpansive", "firmly-nonexpansive", "growth-condition", "coercive"]
+)
+def test_certify_nonfinite_statistic_exit3(klass, capsys):
+    # arithmetic overflows on this box: the run fails instead of writing a
+    # verdict with a NaN estimate
+    code = main(["certify", "--op", "cubic", "--class", klass, "--box=-1e200,1e200",
+                 "--samples", "2000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "NaN" not in captured.out and "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("klass", ["strongly-monotone", "coercive"])
+def test_certify_vacuous_graph_consistent(klass, capsys):
+    # the graph of the normal cone of {0} is {0} x R^n: no pair has x != y
+    code = main(["certify", "--op", "normal-cone-zero", "--class", klass, "--samples", "2000"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    cert = json.loads(captured.out)["certificate"]
+    assert cert["verdict"] == "consistent" and "vacuous" in cert["notes"]
+    assert all(row["value"] is None for row in cert["estimates"])
 
 
 def test_certify_sequential_classes(tmp_path):

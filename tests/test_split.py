@@ -46,6 +46,10 @@ def test_iterate_divergence_guard():
     GROW = NonexpansiveMap(1, lambda x: 3.0 * np.asarray(x, float), "grow")
     tr = split.iterate(GROW, [1.0], split.StoppingRule(max_iter=10_000, divergence_guard=1e6))
     assert tr.termination == split.TERM_DIVERGED
+    # a NaN iterate ends the run too instead of using up the budget
+    NAN = NonexpansiveMap(1, lambda x: np.full_like(np.asarray(x, float), np.nan), "nan")
+    tr = split.iterate(NAN, [1.0], split.StoppingRule(max_iter=20_000))
+    assert tr.termination == split.TERM_DIVERGED and tr.n_steps == 1
 
 
 def test_pr_oscillation_example():
