@@ -791,24 +791,25 @@ class GrowthReport:
 
     distances: np.ndarray
     ratios: np.ndarray
-    top_decile_inf: float
+    top_decile_inf: Optional[float]
 
     @property
     def growth_holds(self) -> bool:
-        return self.top_decile_inf > 1e-6
+        return self.top_decile_inf is None or self.top_decile_inf > 1e-6
 
 
 def check_growth(pairs) -> GrowthReport:
     """Growth-condition probe on graph-sample pairs; the infimum over the
-    largest-separation decile proxies the liminf at infinity."""
+    largest-separation decile proxies the liminf at infinity.  Pairs that
+    all have ``x = y`` hold it vacuously: ``top_decile_inf`` is ``None``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dist, ratio = _ratio(*_stack_graph_pairs(pairs), {})
     keep = dist > 0
-    if not np.any(keep):
-        raise DomainError("need pairs with |x - y| > 0")
     if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(ratio[keep]))):
         raise NumericalFailure("non-finite growth ratio on the graph pairs")
     dist, ratio = dist[keep], ratio[keep]
+    if dist.size == 0:
+        return GrowthReport(distances=dist, ratios=ratio, top_decile_inf=None)
     order = np.argsort(dist)
     top = order[-max(1, len(order) // 10):]
     return GrowthReport(
@@ -870,8 +871,10 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
         pairs = [target(n) for n in range(1, 201)]
     if name == "growth-condition":
         rep = check_growth(pairs)
+        vacuous = rep.top_decile_inf is None
         return _certificate(name, {}, [{"probe": 0.9, "value": rep.top_decile_inf}],
-                            not rep.growth_holds, cfg.seed, cfg.sample_count)
+                            not rep.growth_holds, cfg.seed, cfg.sample_count,
+                            notes="vacuous: no sampled pair has x != y" if vacuous else "")
     X, XS, Y, YS = _stack_graph_pairs(pairs)
     rep = check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])))
     estimates = [

@@ -294,6 +294,8 @@ def cmd_selfdual(args) -> int:
             "seed": args.seed,
             "samples": args.samples,
             "box": list(args.box),
+            "t": args.t,
+            "eps": args.eps,
         },
         "report": report.to_json_dict(),
     }
@@ -367,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # the certifiers fail closed on non-finite statistics, so numpy's
+        # floating-point warnings would only repeat that failure on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (StepSizeOutOfRange, UnsupportedOperator, DomainError) as exc:

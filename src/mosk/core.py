@@ -16,7 +16,7 @@ one-dimensional operators act elementwise on arrays of any shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ TOL_RESOLVENT_ROOT = 1e-10
 # Bracket expansion doubles an initial radius of 1 up to 2**60 before failing.
 BRACKET_RADIUS0 = 1.0
 BRACKET_CAP = 2.0**60
+MAX_STEPS = 240
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -203,52 +204,67 @@ def solve_increasing(
     target,
     *,
     tol: float = 1e-12,
-    center=None,
-    radius0: float = BRACKET_RADIUS0,
-    radius_cap: float = BRACKET_CAP,
-    max_iter: int = 240,
+    rtol: float = 0.0,
+    center=0.0,
+    bracket: Optional[Tuple[float, float]] = None,
+    dfun: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ):
-    """Solve ``fun(t) = target`` for a continuous nondecreasing ``fun``.
+    """Solve ``fun(t) = target`` elementwise for a continuous nondecreasing
+    ``fun``.
 
-    Bracket expansion (doubling from ``radius0`` up to ``radius_cap``)
-    followed by bisection; stops when the residual ``|fun(t) - target|``
-    drops below ``tol`` at every element.  Vectorized over ``target``.
+    The bracket is ``bracket = (lo, hi)``, which must enclose every root, or
+    else grows by doubling a radius of ``BRACKET_RADIUS0`` around ``center``
+    up to ``BRACKET_CAP``.  A step is Newton's on ``dfun`` when given and
+    strictly inside the bracket, else bisection.  An element stops once
+    ``|fun(t) - target| <= rtol * |target|`` (``tol`` when ``rtol`` is 0) or
+    no float is left inside its bracket.  Raises ``NumericalFailure`` unless
+    every final residual is at most ``tol``.
     """
-    t = np.asarray(target, dtype=float)
-    scalar = t.ndim == 0
-    tgt = np.atleast_1d(t).astype(float)
-    c = np.full_like(tgt, 0.0) if center is None else np.broadcast_to(
-        np.asarray(center, dtype=float), tgt.shape
-    ).astype(float)
-
-    r = np.full_like(tgt, radius0)
-    lo = c - r
-    hi = c + r
-    for _ in range(80):
-        need_lo = fun(lo) - tgt > 0
-        need_hi = fun(hi) - tgt < 0
-        if not (need_lo.any() or need_hi.any()):
-            break
-        if np.any(r > radius_cap):
-            raise NumericalFailure("bracket expansion exceeded configured cap")
-        r = np.where(need_lo | need_hi, 2.0 * r, r)
-        lo = np.where(need_lo, c - r, lo)
-        hi = np.where(need_hi, c + r, hi)
+    scalar = np.ndim(target) == 0
+    tgt = np.atleast_1d(np.asarray(target, dtype=float))
+    if bracket is not None:
+        lo = np.full_like(tgt, bracket[0])
+        hi = np.full_like(tgt, bracket[1])
     else:
-        raise NumericalFailure("bracket expansion exceeded configured cap")
+        c = np.zeros_like(tgt) + center
+        r = np.full_like(tgt, BRACKET_RADIUS0)
+        lo = c - r
+        hi = c + r
+        # every pass doubles some radius, so the cap ends the expansion
+        while True:
+            need_lo = fun(lo) - tgt > 0
+            need_hi = fun(hi) - tgt < 0
+            if not (need_lo.any() or need_hi.any()):
+                break
+            if np.any(r > BRACKET_CAP):
+                raise NumericalFailure("bracket expansion exceeded configured cap")
+            r = np.where(need_lo | need_hi, 2.0 * r, r)
+            lo = np.where(need_lo, c - r, lo)
+            hi = np.where(need_hi, c + r, hi)
+    stop = rtol * np.abs(tgt) if rtol > 0 else tol
 
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fm = fun(mid) - tgt
-        if np.max(np.abs(fm)) <= tol:
-            return float(mid[0]) if scalar else mid
-        lo = np.where(fm < 0, mid, lo)
-        hi = np.where(fm > 0, mid, hi)
+    t = 0.5 * (lo + hi)
+    f = fun(t) - tgt
+    for _ in range(MAX_STEPS):
+        lo = np.where(f < 0, t, lo)
+        hi = np.where(f > 0, t, hi)
         nxt = 0.5 * (lo + hi)
-        if np.array_equal(nxt, mid):
+        # done: the residual is small (or NaN, which the final check rejects),
+        # or the rounded midpoint is an end point, which happens exactly when
+        # no float is left strictly inside the bracket
+        done = ~(np.abs(f) > stop) | (nxt == lo) | (nxt == hi)
+        if done.all():
             break
-        mid = nxt
-    raise NumericalFailure(f"bisection stalled above residual tolerance {tol}")
+        if dfun is not None:
+            # a zero derivative gives an infinite or NaN step: bisect there
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = t - f / dfun(t)
+            nxt = np.where((newton > lo) & (newton < hi), newton, nxt)
+        t = np.where(done, t, nxt)
+        f = fun(t) - tgt
+    if not np.all(np.abs(f) <= tol):
+        raise NumericalFailure(f"root finder stalled above residual tolerance {tol}")
+    return float(t[0]) if scalar else t
 
 
 def solve_scalar_monotone(a: Callable[[np.ndarray], np.ndarray], x, tol: float = TOL_RESOLVENT_ROOT):
@@ -287,9 +303,7 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
     if A.scaled_resolvent is not None:
         res = A.scaled_resolvent(gamma)
     elif A.dim == 1 and A.direct_eval is not None:
-        direct = A.direct_eval
-
-        def res(x, _g=gamma, _a=direct):
+        def res(x, _g=gamma, _a=A.direct_eval):
             return solve_scalar_monotone(lambda t: _g * _a(t), x)
 
     else:
@@ -299,8 +313,7 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
 
     direct_eval = None
     if A.direct_eval is not None:
-        base = A.direct_eval
-        direct_eval = lambda x, _g=gamma, _a=base: _g * _a(x)  # noqa: E731
+        direct_eval = lambda x, _g=gamma, _a=A.direct_eval: _g * _a(x)  # noqa: E731
 
     return MonotoneOperator(
         dim=A.dim,

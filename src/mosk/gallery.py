@@ -31,7 +31,7 @@ from .core import (
     solve_increasing,
     solve_scalar_monotone,
 )
-from .exceptions import DomainError, NumericalFailure, SequenceOverflow, UnsupportedOperator
+from .exceptions import DomainError, SequenceOverflow, UnsupportedOperator
 
 HALF_PI = np.pi / 2.0
 # Branch points of the clamped-sine closed forms.
@@ -44,65 +44,46 @@ BREAK_INNER = (np.pi - 2.0) / 4.0
 # ---------------------------------------------------------------------------
 
 
+# Both inverse solvers guarantee an absolute residual of INVERSE_TOL.
+INVERSE_BRACKET = (-(np.pi + 2.0) / 2.0, (np.pi + 2.0) / 2.0)
+INVERSE_TOL = 1e-12
+# Convergence target, relative to the solved value: the inverse error is the
+# residual amplified by 1/derivative, and h's derivative vanishes cubically
+# at 0, so an absolute target would lose all nearby accuracy.  Values below
+# float resolution stop on bracket collapse instead.
+INVERSE_RTOL = 1e-15
+
+
 @dataclass(frozen=True)
 class ScalarInverseSolver:
-    """Inverts a strictly increasing scalar map on a fixed interval.
-
-    Safeguarded Newton iteration: a bisection bracket is maintained at all
-    times and takes over whenever the derivative drops below ``1e-8`` (the
-    map ``t - sin t`` has vanishing derivative at 0) or a Newton step leaves
-    the bracket.
+    """Inverts a strictly increasing scalar map on ``INVERSE_BRACKET`` by
+    safeguarded Newton steps on ``dforward`` (:func:`solve_increasing`);
+    bisection covers where the derivative vanishes (``t - sin t`` at 0).
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
     dforward: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    lo: float = -(np.pi + 2.0) / 2.0
-    hi: float = (np.pi + 2.0) / 2.0
-    # Guaranteed absolute residual bound (NumericalFailure beyond it).
-    tol: float = 1e-12
-    # Convergence target, relative to the solved value: the inverse error is
-    # the residual amplified by 1/derivative, and h's derivative vanishes
-    # cubically at 0, so an absolute target would lose all nearby accuracy.
-    # Values below float resolution stop on bracket collapse instead.
-    rtol: float = 1e-15
     name: str = "inverse-solver"
 
     def range(self) -> Tuple[float, float]:
-        return float(self.forward(np.float64(self.lo))), float(
-            self.forward(np.float64(self.hi))
-        )
+        lo, hi = INVERSE_BRACKET
+        return float(self.forward(np.float64(lo))), float(self.forward(np.float64(hi)))
 
     def solve(self, value):
         v = np.asarray(value, dtype=float)
-        scalar = v.ndim == 0
-        vv = np.atleast_1d(v).astype(float)
         vlo, vhi = self.range()
-        if np.any(vv < vlo - 1e-12) or np.any(vv > vhi + 1e-12):
+        if np.any(v < vlo - 1e-12) or np.any(v > vhi + 1e-12):
             raise DomainError(
                 f"{self.name}: value outside the range [{vlo:.6g}, {vhi:.6g}]"
             )
-        vv = np.clip(vv, vlo, vhi)
-        lo = np.full_like(vv, self.lo)
-        hi = np.full_like(vv, self.hi)
-        t = 0.5 * (lo + hi)
-        eps = np.finfo(float).eps
-        for _ in range(200):
-            f = self.forward(t) - vv
-            converged = np.abs(f) <= self.rtol * np.abs(vv)
-            collapsed = hi - lo <= eps * np.maximum(np.abs(t), 1.0)
-            done = converged | collapsed
-            if np.all(done):
-                break
-            lo = np.where(f < 0, t, lo)
-            hi = np.where(f > 0, t, hi)
-            d = self.dforward(t)
-            safe = d > 1e-8
-            newton = np.where(safe, t - f / np.where(safe, d, 1.0), t)
-            inside = safe & (newton > lo) & (newton < hi)
-            t = np.where(done, t, np.where(inside, newton, 0.5 * (lo + hi)))
-        if np.max(np.abs(self.forward(t) - vv)) > self.tol:
-            raise NumericalFailure(f"{self.name}: residual above {self.tol}")
-        return float(t[0]) if scalar else t
+        return solve_increasing(
+            self.forward,
+            np.clip(v, vlo, vhi),
+            bracket=INVERSE_BRACKET,
+            dfun=self.dforward,
+            tol=INVERSE_TOL,
+            rtol=INVERSE_RTOL,
+        )
 
 
 g_solver = ScalarInverseSolver(
@@ -262,12 +243,16 @@ def cubic_resolvent(x):
     Evaluated as ``a/6 - 2/a`` with ``a = cbrt(108|x| + 12 sqrt(81 x^2 + 12))``
     and odd reflection for negative ``x``; the reflection avoids the
     catastrophic cancellation the radicand suffers for large negative
-    arguments.
+    arguments.  Beyond ``|x| = 1e150`` it is ``cbrt(x)``.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
+    # above 1e150 cbrt(x) is exact in float64 (the correction is about
+    # x^(-1/3)/3), and below it 81 x^2 cannot overflow
+    big = ax > 1e150
+    ax = np.where(big, 0.0, ax)
     a = np.cbrt(108.0 * ax + 12.0 * np.sqrt(81.0 * ax * ax + 12.0))
-    return np.sign(x) * (a / 6.0 - 2.0 / a)
+    return np.where(big, np.cbrt(x), np.sign(x) * (a / 6.0 - 2.0 / a))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +303,13 @@ class FunctionEntry:
 
 def fenchel_conjugate_1d(entry: FunctionEntry, xstar, tol: float = 1e-12):
     """Evaluate the convex conjugate ``f*(x*) = x* y - f(y)`` where ``y``
-    solves ``f'(y) = x*`` (by bracketed bisection).
+    solves ``f'(y) = x*`` (by bracketed bisection, :func:`solve_increasing`).
 
     Requires ``eval_fprime`` continuous, strictly increasing and surjective
     onto a neighbourhood of ``x*``.
     """
     xs = np.asarray(xstar, dtype=float)
-    y = solve_increasing(entry.eval_fprime, xs, tol=tol, center=0.0)
+    y = solve_increasing(entry.eval_fprime, xs, tol=tol)
     return xs * y - entry.eval_f(y)
 
 

@@ -172,6 +172,18 @@ def test_selfdual_command(tmp_path):
     assert v["inverse-uniformly-monotone"] == "refuted"
     assert v["reflected-resolvent-cld"] == "refuted"
     assert payload["report"]["agrees_with_selfduality"] is True
+    assert payload["config"]["t"] is None and payload["config"]["eps"] is None
+
+
+def test_selfdual_config_records_probes(tmp_path):
+    configs = []
+    for t in ("0.5,1", "2,4"):
+        out = tmp_path / f"sd{t}.json"
+        argv = ["selfdual", "--op", "cubic", "--samples", "2000", "--t", t, "--out", str(out)]
+        assert main(argv) == 0
+        configs.append(json.loads(out.read_text())["config"])
+    assert configs[0]["t"] == [0.5, 1.0] and configs[1]["t"] == [2.0, 4.0]
+    assert configs[0] != configs[1]
 
 
 def test_usage_errors_exit1(monkeypatch, capsys):
@@ -201,7 +213,21 @@ def test_certify_nonfinite_statistic_exit3(klass, capsys):
     assert "NaN" not in captured.out and "numerical failure" in captured.err
 
 
-@pytest.mark.parametrize("klass", ["strongly-monotone", "coercive"])
+def test_certify_numerical_failure_stderr_is_one_line():
+    # numpy's overflow warnings would only repeat the failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "mosk", "certify", "--op", "cubic", "--class", "nonexpansive",
+         "--box=-1e200,1e200", "--samples", "2000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("klass", ["strongly-monotone", "coercive", "growth-condition"])
 def test_certify_vacuous_graph_consistent(klass, capsys):
     # the graph of the normal cone of {0} is {0} x R^n: no pair has x != y
     code = main(["certify", "--op", "normal-cone-zero", "--class", klass, "--samples", "2000"])

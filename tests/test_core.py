@@ -217,6 +217,19 @@ def test_solve_increasing_bracket_failure():
     # a bounded function never reaches far targets
     with pytest.raises(NumericalFailure):
         core.solve_increasing(lambda t: np.tanh(t), 5.0, tol=1e-10)
+    # a NaN target never meets the residual tolerance
+    with pytest.raises(NumericalFailure):
+        core.solve_increasing(lambda t: t, np.array([1.0, np.nan]))
+
+
+def test_quartic_resolvent_tiny_targets():
+    # the root sits on the sqrt branch, whose slope is infinite at 0: the
+    # bracket must shrink below every absolute floor before the residual drops
+    Q = gallery.operator("quartic-mixed")
+    x = np.array([1e-300, 1e-10, 1.42e-10])
+    y = core.resolvent(Q, x)
+    assert np.all(y >= 0.0)
+    assert np.max(np.abs(y + gallery.quartic_mixed_fprime(y) - x)) <= core.TOL_RESOLVENT_ROOT
 
 
 def test_firm_nonexpansiveness_of_resolvents_sampled():

@@ -238,13 +238,33 @@ def test_cubic_resolvent_identity_grid():
 
 
 def test_cubic_matches_root_finder():
-    # dual route: Cardano closed form against the bisection engine
-    from mosk.core import solve_scalar_monotone
+    # dual route: Cardano closed form against the root finder, bisecting
+    # and taking Newton steps on the derivative
+    from mosk.core import solve_increasing, solve_scalar_monotone
 
     x = np.linspace(-1000.0, 1000.0, 10_000)
     closed = gallery.cubic_resolvent(x)
     rooted = solve_scalar_monotone(lambda t: t**3, x, tol=1e-12)
     assert np.max(np.abs(closed - rooted)) <= 1e-9
+    calls = []
+
+    def fun(t):
+        calls.append(1)
+        return t**3 + t
+
+    newton = solve_increasing(fun, x, dfun=lambda t: 3.0 * t * t + 1.0, bracket=(-10.0, 10.0))
+    assert np.max(np.abs(closed - newton)) <= 1e-12
+    assert len(calls) <= 20  # bisection alone takes about 50
+
+
+def test_cubic_resolvent_huge_arguments():
+    # 81 x^2 overflows beyond about 1e153; there the resolvent is cbrt(x)
+    x = np.array([1e153, 1e200, 1e308])
+    with np.errstate(all="raise"):
+        y = gallery.cubic_resolvent(x)
+        assert np.array_equal(gallery.cubic_resolvent(-x), -y)
+        assert np.all(np.isfinite(y))
+        assert np.max(np.abs(y + y**3 - x) / x) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
