@@ -372,9 +372,18 @@ def main(argv=None) -> int:
         # the certifiers fail closed on non-finite statistics, so numpy's
         # floating-point warnings would only repeat that failure on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        # a closed pipe must fail here, where the handler below catches it,
+        # and not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader went away (``mosk ... | head``); point stdout at devnull
+        # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (StepSizeOutOfRange, UnsupportedOperator, DomainError) as exc:
         # configuration-level failures are usage errors
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .core import (
     NonexpansiveMap,
     from_neg_reflected,
     solve_increasing,
-    solve_scalar_monotone,
 )
 from .exceptions import DomainError, SequenceOverflow, UnsupportedOperator
 
@@ -240,19 +239,26 @@ def clamp_sin_fstar(x):
 def cubic_resolvent(x):
     """Closed-form resolvent of ``x -> x^3``: solves ``y + y^3 = x``.
 
-    Evaluated as ``a/6 - 2/a`` with ``a = cbrt(108|x| + 12 sqrt(81 x^2 + 12))``
-    and odd reflection for negative ``x``; the reflection avoids the
-    catastrophic cancellation the radicand suffers for large negative
-    arguments.  Beyond ``|x| = 1e150`` it is ``cbrt(x)``.
+    Cardano gives ``a/6 - 2/a`` with ``a = cbrt(12(u + sqrt(u^2 + 12)))``,
+    ``u = 9|x|``, and odd reflection for negative ``x``; the reflection
+    avoids the cancellation the radicand suffers for large negative
+    arguments.  ``a/6 - 2/a`` itself cancels as ``x -> 0``, so it is
+    evaluated as the equal quotient ``4u a^2 / ((a^2 + 6)^2 + 108)`` of
+    positive terms (from ``a^6 - 1728 = 24u a^3``), which is
+    relative-accurate for every ``x``.  Beyond ``|x| = 1e150`` it is
+    ``cbrt(x)``.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     # above 1e150 cbrt(x) is exact in float64 (the correction is about
-    # x^(-1/3)/3), and below it 81 x^2 cannot overflow
+    # x^(-1/3)/3), and below it u^2 cannot overflow
     big = ax > 1e150
-    ax = np.where(big, 0.0, ax)
-    a = np.cbrt(108.0 * ax + 12.0 * np.sqrt(81.0 * ax * ax + 12.0))
-    return np.where(big, np.cbrt(x), np.sign(x) * (a / 6.0 - 2.0 / a))
+    u = 9.0 * np.where(big, 0.0, ax)
+    a = np.cbrt(12.0 * (u + np.sqrt(u * u + 12.0)))
+    a2 = a * a
+    t = a2 + 6.0
+    y = 4.0 * u * a2 / (t * t + 108.0)
+    return np.where(big, np.cbrt(x), np.copysign(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +290,32 @@ def quartic_mixed_fprime(x):
     )
 
 
+def quartic_mixed_resolvent(x, gamma: float = 1.0):
+    """Closed-form resolvent of ``gamma`` times :func:`quartic_mixed_fprime`:
+    solves ``y + gamma f'(y) = x``, one explicit formula per piece of ``f'``.
+
+    ``x/(1 + 8 gamma)`` up to ``-(1 + 8 gamma)``; ``cubic_resolvent(c x)/c``
+    with ``c = sqrt(8 gamma)`` below 0, since ``y + 8 gamma y^3 = x`` is the
+    cubic case rescaled; ``s^2`` with ``s = 2x/(1.5 gamma + sqrt(2.25
+    gamma^2 + 4x))``, the cancellation-free root of ``s^2 + 1.5 gamma s = x``,
+    below ``1 + 1.5 gamma``; ``x/(1 + 1.5 gamma)`` beyond.
+    """
+    if not gamma > 0:
+        raise DomainError("gamma must be positive")
+    x = np.asarray(x, dtype=float)
+    lo, hi = -(1.0 + 8.0 * gamma), 1.0 + 1.5 * gamma
+    c = math.sqrt(8.0 * gamma)
+    # each piece sees its own interval only, so none can overflow
+    neg = cubic_resolvent(c * np.clip(x, lo, 0.0)) / c
+    xp = np.clip(x, 0.0, hi)
+    s = 2.0 * xp / (1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * xp))
+    return np.select(
+        [x <= lo, x < 0.0, x < hi],
+        [x / (1.0 + 8.0 * gamma), neg, s * s],
+        default=x / hi,
+    )
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional Fenchel conjugation through the derivative
 # ---------------------------------------------------------------------------
@@ -303,7 +335,7 @@ class FunctionEntry:
 
 def fenchel_conjugate_1d(entry: FunctionEntry, xstar, tol: float = 1e-12):
     """Evaluate the convex conjugate ``f*(x*) = x* y - f(y)`` where ``y``
-    solves ``f'(y) = x*`` (by bracketed bisection, :func:`solve_increasing`).
+    solves ``f'(y) = x*`` (by :func:`solve_increasing`).
 
     Requires ``eval_fprime`` continuous, strictly increasing and surjective
     onto a neighbourhood of ``x*``.
@@ -602,7 +634,7 @@ def _op_clamp_sin(dim: int) -> MonotoneOperator:
 def _op_quartic(dim: int) -> MonotoneOperator:
     return MonotoneOperator(
         dim=1,
-        resolvent=lambda x: solve_scalar_monotone(quartic_mixed_fprime, x),
+        resolvent=quartic_mixed_resolvent,
         name="quartic-mixed",
         direct_eval=quartic_mixed_fprime,
         declared_properties={
@@ -610,6 +642,7 @@ def _op_quartic(dim: int) -> MonotoneOperator:
             "uniformly-monotone": None,
             "lipschitz": 8.0,
         },
+        scaled_resolvent=lambda g: lambda x: quartic_mixed_resolvent(x, g),
     )
 
 

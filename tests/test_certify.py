@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosk import certify, core, gallery
 from mosk.certify import CONSISTENT, REFUTED, SamplerConfig
 from mosk.combine import negate
 from mosk.core import NonexpansiveMap
-from mosk.exceptions import DomainError
+from mosk.exceptions import DomainError, NumericalFailure
 
 
 def cfg1(n=50_000, seed=101, width=50.0):
@@ -46,6 +49,13 @@ def test_certify_lipschitz_examples():
     assert c.estimates[0]["value"] <= 1.0 + 1e-9
 
 
+def test_certify_reflected_cubic_small_box():
+    # a cancelling cubic resolvent made R_cubic look expansive near 0
+    R = core.reflected_map(gallery.operator("cubic"))
+    c = certify.certify_lipschitz(R, cfg1(width=1e-6))
+    assert c.verdict == CONSISTENT
+
+
 def test_certify_firm_examples():
     J = core.resolvent_map(gallery.operator("cubic"))
     assert certify.certify_firm(J, cfg1()).verdict == CONSISTENT
@@ -64,6 +74,39 @@ def test_certify_firm_explicit_pair():
         witness=[[1.0], [0.0]], witness_value=None, seed=0, sample_count=0,
     )
     assert certify.replay(c, NEG) == pytest.approx(4.0)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_width=st.floats(-3.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+    firm=st.booleans(),
+)
+def test_certify_cubic_extreme_boxes_fail_closed(log_width, seed, firm):
+    # a certificate either holds only finite numbers or is not issued
+    A = gallery.operator("cubic")
+    cfg = SamplerConfig.symmetric(seed=seed, sample_count=500, dim=1,
+                                  half_width=10.0**log_width)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            if firm:
+                c = certify.certify_firm(core.resolvent_map(A), cfg)
+            else:
+                c = certify.certify_lipschitz(core.reflected_map(A), cfg)
+        except NumericalFailure:
+            return
+    numbers = list(_numbers(c.to_json_dict())) + [c.witness_value or 0.0]
+    assert all(math.isfinite(v) for v in numbers)
 
 
 def test_certify_averaged_examples():

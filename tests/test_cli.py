@@ -227,6 +227,25 @@ def test_certify_numerical_failure_stderr_is_one_line():
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
 
 
+def test_closed_stdout_pipe_no_traceback():
+    # `mosk certify ... | head -1`: 2000 probes make the JSON larger than a
+    # pipe buffer, so the reader closes its end while mosk is still writing
+    probes = ",".join(str(t) for t in range(1, 2001))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mosk", "certify", "--op", "normal-cone-zero",
+         "--class", "uniformly-monotone", "--t", probes, "--samples", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().strip() == "{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 @pytest.mark.parametrize("klass", ["strongly-monotone", "coercive", "growth-condition"])
 def test_certify_vacuous_graph_consistent(klass, capsys):
     # the graph of the normal cone of {0} is {0} x R^n: no pair has x != y

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,27 @@ def test_scale_quartic_root_found():
     x = np.linspace(-8, 8, 101)
     y = core.resolvent(B, x)
     assert np.max(np.abs(y + g * gallery.quartic_mixed_fprime(y) - x)) <= 1e-10
+
+
+def test_quartic_closed_form_matches_root_finder():
+    # the closed form against the 1-d root-finder path of scale()
+    Q = gallery.operator("quartic-mixed")
+    R = dataclasses.replace(
+        Q,
+        resolvent=lambda x: core.solve_scalar_monotone(gallery.quartic_mixed_fprime, x),
+        scaled_resolvent=None,
+    )
+    for g in (0.25, 0.5, 0.7, 1.0, 3.0):
+        breaks = np.array([-(1.0 + 8.0 * g), 0.0, 1.0 + 1.5 * g])
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 2001),
+            breaks,
+            np.nextafter(breaks, -np.inf),
+            np.nextafter(breaks, np.inf),
+        ])
+        closed = core.resolvent(core.scale(Q, g), x)
+        rooted = core.resolvent(core.scale(R, g), x)
+        assert np.max(np.abs(closed - rooted)) <= 1e-9, g
 
 
 def test_solve_increasing_bracket_failure():

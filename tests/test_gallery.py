@@ -267,6 +267,15 @@ def test_cubic_resolvent_huge_arguments():
         assert np.max(np.abs(y + y**3 - x) / x) <= 1e-15
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-8, 1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cubic_resolvent_relative_accuracy_near_zero(x, sign):
+    # a/6 - 2/a cancels as x -> 0; the resolvent must stay relative-accurate
+    x = sign * x
+    y = float(gallery.cubic_resolvent(x))
+    assert abs(y + y**3 - x) <= 1e-14 * abs(x)
+
+
 # ---------------------------------------------------------------------------
 # piecewise quartic/sqrt derivative and Fenchel conjugation
 # ---------------------------------------------------------------------------
@@ -297,6 +306,56 @@ def test_quartic_mixed_f_continuous_at_breaks():
         left = gallery.quartic_mixed_f(b - 1e-9)
         right = gallery.quartic_mixed_f(b + 1e-9)
         assert left == pytest.approx(right, abs=1e-7)
+
+
+_QUARTIC_X = st.floats(-1e300, 1e300, allow_subnormal=False)
+_QUARTIC_GAMMA = st.floats(1e-3, 1e3)
+_TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_QUARTIC_X, gamma=_QUARTIC_GAMMA)
+def test_quartic_resolvent_relative_residual_property(x, gamma):
+    # subnormal x carry fewer than 53 bits, so no relative bound holds there;
+    # on the sqrt piece y is about (x/(1.5 gamma))^2, which leaves the normal
+    # range below x ~ 2e-154 gamma, and f' has infinite slope at 0, so
+    # there only the size of y is checked
+    y = float(gallery.quartic_mixed_resolvent(x, gamma))
+    res = abs(y + gamma * float(gallery.quartic_mixed_fprime(y)) - x)
+    assert (y >= 0.0) == (x >= 0.0)
+    if abs(y) >= _TINY or x <= 0.0:
+        assert res <= 1e-14 * abs(x)
+    else:
+        assert 0.0 <= y < _TINY and x < 1e-153 * gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(x1=_QUARTIC_X, x2=_QUARTIC_X, gamma=_QUARTIC_GAMMA)
+def test_quartic_resolvent_nondecreasing_property(x1, x2, gamma):
+    # the quotient forms are not monotone in rounding: a few ulp of slack
+    lo, hi = sorted((x1, x2))
+    ylo = float(gallery.quartic_mixed_resolvent(lo, gamma))
+    yhi = float(gallery.quartic_mixed_resolvent(hi, gamma))
+    assert ylo <= yhi + 1e-14 * abs(yhi)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 3.0, 1e3])
+def test_quartic_resolvent_breakpoints_and_extremes(gamma):
+    breaks = np.array([-(1.0 + 8.0 * gamma), 1.0 + 1.5 * gamma])
+    x = np.concatenate([
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        [-1e300, -1e150, -1e-300, 0.0, 1e-150, 1e150, 1e300],
+    ])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        y = gallery.quartic_mixed_resolvent(x, gamma)
+        assert np.all(np.isfinite(gallery.quartic_mixed_resolvent([-1.7e308, 1.7e308], gamma)))
+    res = np.abs(y + gamma * gallery.quartic_mixed_fprime(y) - x)
+    assert np.all(res <= 1e-14 * np.abs(x))
+    assert np.array_equal(y >= 0.0, x >= 0.0)
+    # y = (x/(1.5 gamma))^2 nearly underflows to 0 (see the property above)
+    assert gallery.quartic_mixed_resolvent(1e-300, gamma) == 0.0
+    with pytest.raises(DomainError):
+        gallery.quartic_mixed_resolvent(1.0, 0.0)
 
 
 def test_fenchel_conjugate_examples():
