@@ -44,12 +44,12 @@ for name, op, cfg in [
 
 print("\nwitness replay: the rotator's refutation reproduces exactly")
 est = certify.estimate_modulus(gallery.operator("rotator"), [0.5, 1.0], cfg2)
-print(f"  stored value {est.witness_value:.3e}, replayed {certify.replay(est.certificate()):.3e}")
+print(f"  stored value {est.witness_value:.3e}, replayed {certify.replay(est):.3e}")
 
 print("\nthe scale probe refutes what no finite box can: cbrt's modulus decays")
 inv = core.invert(gallery.operator("cubic"))
 cfgw = SamplerConfig.symmetric(seed=7, sample_count=100_000, dim=1, half_width=1000.0)
 est = certify.estimate_modulus(inv, [0.5, 1.0], cfgw)
 print(f"  verdict: {est.verdict} ({est.notes})")
-for row in est.rings[:8]:
+for row in est.params["rings"][:8]:
     print(f"  ring radius {row['radius']:>6.0f}: min product {row['min_product']}")

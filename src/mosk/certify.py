@@ -13,13 +13,13 @@ Banach contraction) cannot be refuted by thresholding statistics on a fixed
 box: the cube-root inverse of ``x -> x^3`` has a strictly positive sampled
 modulus on every bounded box although the class fails globally.  The
 certifiers therefore add a geometric *scale probe*: the same statistic is
-re-estimated on rings of radius ``ring_base * 2^k`` and a monotone decay of
-the statistic across rings (below ``decay_threshold``) counts as a
+re-estimated on rings of radius ``RING_BASE * 2^k`` and a monotone decay of
+the statistic across rings (below ``DECAY_THRESHOLD``) counts as a
 refutation, with the extremal pair of the last ring as witness.
 
 Every sampled certifier runs one engine driven by the class table
-:data:`CLASSES`; :func:`replay` evaluates the same table entry on the
-stored witness.
+:data:`CLASSES` and returns a :class:`ClassCertificate`; :func:`replay`
+evaluates the same table entry on the stored witness.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     GraphSample,
     MonotoneOperator,
     NonexpansiveMap,
+    WitnessFamily,
     minty_sample,
     reflected_map,
 )
@@ -49,9 +50,14 @@ TOL_POS = 1e-12
 CONSISTENT = "consistent"
 REFUTED = "refuted"
 
-# Scale-probe defaults of the profile certifiers (modulus and CLD).
+# Scale probe of the profile certifiers (modulus and CLD).
 RING_BASE, RING_COUNT, RING_SAMPLES = 1.0, 15, 2048
 DECAY_THRESHOLD, MIN_RING_PAIRS = 0.05, 24
+
+# Banach margin, coercivity shells and the sequential probe's thresholds
+# (see check_sequential).
+BANACH_MARGIN, COERCIVE_SHELLS = 1e-4, 8
+SEQ_DECAY_TOL, SEQ_GAP_FLOOR, SEQ_BOUNDED_FACTOR, SEQ_PREMISE_ULPS = 1e-6, 1e-3, 10.0, 512.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +181,13 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
     return rings
 
 
-def _draw(cfg: SamplerConfig, knots, lift, ring_base=RING_BASE, ring_count=RING_COUNT,
-          ring_samples=RING_SAMPLES):
+def _draw(cfg: SamplerConfig, knots, lift, ring_samples=RING_SAMPLES):
     """The pairs of a profile probe as ``(radius, lift(x, y))`` rows: first
     the sampled batch with shells at ``knots`` (radius ``None``), then the
     scale rings (``None`` in place of pairs for a ring the ladder skips)."""
     X, Y = pair_batches(cfg, shell_distances=knots)
     rng = np.random.default_rng(cfg.seed + 1)
-    rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_base, ring_count, ring_samples)
+    rings = _ring_pair_batches(rng, cfg.dim, knots[0], RING_BASE, RING_COUNT, ring_samples)
     return [(r, None if x is None else lift(x, y)) for r, x, y in [(None, X, Y)] + rings]
 
 
@@ -228,6 +233,21 @@ class ClassCertificate:
             "samples": int(self.sample_count),
             "notes": self.notes,
         }
+
+
+class ModulusEstimate(ClassCertificate):
+    """The ``uniformly-monotone`` certificate of :func:`estimate_modulus`;
+    ``table`` reads its estimates as ``(t, phi_hat(t))`` rows, ``inf`` for
+    an empty bin."""
+
+    @property
+    def table(self) -> tuple:
+        return tuple((row["probe"], np.inf if row["value"] is None else row["value"])
+                     for row in self.estimates)
+
+    def certificate(self) -> "ModulusEstimate":
+        """The certificate itself: an estimate is one."""
+        return self
 
 
 def _points(*arrays) -> list:
@@ -301,6 +321,7 @@ CLASSES = {
     "averaged": ClassSpec(_averaged, np.argmax, lambda v, p: v > TOL_CERT),
     "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS),
     "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT),
+    "growth-condition": ClassSpec(_ratio, np.argmin, lambda v, p: v <= 1e-6),
 }
 
 
@@ -381,7 +402,7 @@ def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: 
     """The one place certificates are built; a refuting ``hit`` is the
     witness."""
     hit = hit if refuted and hit is not None else _EMPTY
-    return ClassCertificate(
+    return (ModulusEstimate if name == "uniformly-monotone" else ClassCertificate)(
         class_name=name,
         params=params,
         estimates=estimates,
@@ -394,34 +415,40 @@ def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: 
     )
 
 
-def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
-    """Certificate of a class from the worst of one batch of sampled pairs."""
-    X, Y = pair_batches(cfg)
-    graph = isinstance(target, MonotoneOperator)
-    worst = _extreme(name, [_measure(name, _lift(target)(X, Y), graph, params)])
+def _judge(name: str, batch: _Batch, cfg: SamplerConfig, params: dict, probe: float,
+           select=None):
+    """Certificate of a class from the worst pair of one measured batch."""
+    worst = _extreme(name, [batch], select)
     vacuous = worst.value is None
     return _certificate(
-        name, {**params, "sampler": cfg.describe()}, [{"probe": probe, "value": worst.value}],
+        name, params, [{"probe": probe, "value": worst.value}],
         not vacuous and CLASSES[name].refutes(worst.value, params), cfg.seed, cfg.sample_count,
         worst, notes="vacuous: no sampled pair has x != y" if vacuous else "",
     )
 
 
-def _ring_probe(name: str, rings, floor: float, min_pairs: int, threshold: float,
-                decaying=float):
+def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
+    """Certificate of a class from one batch of sampled pairs."""
+    X, Y = pair_batches(cfg)
+    batch = _measure(name, _lift(target)(X, Y), isinstance(target, MonotoneOperator), params)
+    return _judge(name, batch, cfg, {**params, "sampler": cfg.describe()}, probe)
+
+
+def _ring_probe(name: str, rings, floor: float, decaying=float):
     """The scale probe: per ring ``(radius, worst pair at distance >= floor)``
     and, when ``decaying(value)`` falls geometrically across the rings with
-    at least ``min_pairs`` pairs (never up by more than 30 %, the last at
-    most ``threshold`` times the first), the last such ring's worst pair."""
+    at least ``MIN_RING_PAIRS`` pairs (never up by more than 30 %, the last
+    at most ``DECAY_THRESHOLD`` times the first), the last such ring's worst
+    pair."""
     ends = [(r, _extreme(name, [] if b is None else [b], lambda d: d >= floor))
             for r, b in rings]
-    valid = [e for _, e in ends if e.count >= min_pairs and e.value is not None]
+    valid = [e for _, e in ends if e.count >= MIN_RING_PAIRS and e.value is not None]
     seq = [decaying(e.value) for e in valid]
     decays = (
         len(seq) >= 4
         and seq[0] > 0.0
         and all(nxt <= prev * 1.3 for prev, nxt in zip(seq, seq[1:]))
-        and seq[-1] <= threshold * seq[0]
+        and seq[-1] <= DECAY_THRESHOLD * seq[0]
     )
     return ends, (valid[-1] if decays else None)
 
@@ -449,32 +476,28 @@ def certify_averaged(T: NonexpansiveMap, alpha: float, cfg: SamplerConfig) -> Cl
     return _certify("averaged", T, cfg, {"alpha": float(alpha)}, float(alpha))
 
 
-def certify_banach_contraction(T: NonexpansiveMap, cfg: SamplerConfig,
-                               margin: float = 1e-4) -> ClassCertificate:
-    """Refuted when the sampled Lipschitz ratio comes within ``margin`` of 1
-    (near-isometric pairs exist, so no uniform factor below one is credible)."""
-    return _certify("banach-contraction", T, cfg, {"margin": margin}, 1.0 - margin)
+def certify_banach_contraction(T: NonexpansiveMap, cfg: SamplerConfig) -> ClassCertificate:
+    """Refuted when the sampled Lipschitz ratio comes within ``BANACH_MARGIN``
+    of 1 (near-isometric pairs exist, so no uniform factor below one is
+    credible)."""
+    return _certify("banach-contraction", T, cfg, {"margin": BANACH_MARGIN}, 1.0 - BANACH_MARGIN)
 
 
-def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float], cfg: SamplerConfig,
-                *, ring_base: float = RING_BASE, ring_count: int = RING_COUNT,
-                ring_samples: int = RING_SAMPLES, decay_threshold: float = DECAY_THRESHOLD,
-                min_ring_pairs: int = MIN_RING_PAIRS) -> ClassCertificate:
+def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float],
+                cfg: SamplerConfig) -> ClassCertificate:
     """Contraction-for-large-distances profile ``eps -> beta(eps)``.
 
     ``beta(eps)`` is the supremal ratio over sampled pairs at distance at
     least ``eps`` (nonincreasing in ``eps`` by construction).  Refuted when
     some ``beta(eps)`` reaches ``1 - TOL_CERT``, or when ``1 - beta``
     measured on geometrically growing rings decays below
-    ``decay_threshold`` (ratio tending to one at infinity).
+    ``DECAY_THRESHOLD`` (ratio tending to one at infinity).
     """
     eps = _knots(eps_list, "eps_list")
-    lifted = _draw(cfg, eps, _lift(T), ring_base, ring_count, ring_samples)
-    return _cld(lifted, eps, cfg, decay_threshold, min_ring_pairs)
+    return _cld(_draw(cfg, eps, _lift(T)), eps, cfg)
 
 
-def _cld(lifted, eps, cfg, decay_threshold=DECAY_THRESHOLD,
-         min_ring_pairs=MIN_RING_PAIRS) -> ClassCertificate:
+def _cld(lifted, eps, cfg) -> ClassCertificate:
     name = "contraction-large-distances"
     batches = _measure_draw(name, lifted, False)
     # the ring pairs join the sampled batch in beta(eps)
@@ -482,8 +505,7 @@ def _cld(lifted, eps, cfg, decay_threshold=DECAY_THRESHOLD,
     betas = [_extreme(name, pool, lambda d, e=e: d >= e) for e in eps]
     worst = max((b for b in betas if b.value is not None), key=lambda b: b.value, default=None)
     absolute = worst is not None and CLASSES[name].refutes(worst.value, {})
-    ends, decay = _ring_probe(name, batches[1:], eps[0], min_ring_pairs, decay_threshold,
-                              lambda v: 1.0 - v)
+    ends, decay = _ring_probe(name, batches[1:], eps[0], lambda v: 1.0 - v)
     return _certificate(
         name,
         {
@@ -545,47 +567,21 @@ class Modulus:
         return self.supercoercive_bound * t * t
 
 
-@dataclass(frozen=True)
-class ModulusEstimate(Modulus):
-    """Empirical modulus with the uniform-monotonicity verdict attached."""
-
-    verdict: str = CONSISTENT
-    witness: Optional[list] = None
-    witness_value: Optional[float] = None
-    rings: Tuple[dict, ...] = ()
-    seed: int = 0
-    sample_count: int = 0
-    notes: str = ""
-
-    def certificate(self, cfg_desc: Optional[dict] = None) -> ClassCertificate:
-        return _certificate(
-            "uniformly-monotone",
-            {"rings": list(self.rings), **({"sampler": cfg_desc} if cfg_desc else {})},
-            [{"probe": t, "value": (None if not np.isfinite(v) else v)} for t, v in self.table],
-            self.verdict == REFUTED, self.seed, self.sample_count,
-            _Extreme(self.witness_value, self.witness, 0), self.notes,
-        )
-
-
 def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerConfig,
-                     *, ring_base: float = RING_BASE, ring_count: int = RING_COUNT,
-                     ring_samples: int = RING_SAMPLES, decay_threshold: float = DECAY_THRESHOLD,
-                     min_ring_pairs: int = MIN_RING_PAIRS) -> ModulusEstimate:
+                     *, ring_samples: int = RING_SAMPLES) -> ModulusEstimate:
     """Empirical modulus ``phi_hat(t) = inf <x-y, x*-y*>`` over sampled graph
     pairs with ``|x-y|`` in ``[t_i, t_{i+1})``.
 
     Graph pairs are drawn through the resolvent parametrization of ``A``.
     The verdict is refuted when a bin infimum fails strict positivity
     (``TOL_POS``) or when the infimum at the smallest ``t`` decays
-    geometrically across scale rings.
+    geometrically across scale rings of ``ring_samples`` pairs each.
     """
     knots = _knots(t_list, "t_list")
-    lifted = _draw(cfg, knots, _lift(A), ring_base, ring_count, ring_samples)
-    return _modulus(A.name, lifted, knots, cfg, decay_threshold, min_ring_pairs)
+    return _modulus(_draw(cfg, knots, _lift(A), ring_samples), knots, cfg)
 
 
-def _modulus(label, lifted, knots, cfg, decay_threshold=DECAY_THRESHOLD,
-             min_ring_pairs=MIN_RING_PAIRS) -> ModulusEstimate:
+def _modulus(lifted, knots, cfg) -> ModulusEstimate:
     name = "uniformly-monotone"
     (_, main), *rings = _measure_draw(name, lifted, True)
     edges = knots + [np.inf]
@@ -593,19 +589,17 @@ def _modulus(label, lifted, knots, cfg, decay_threshold=DECAY_THRESHOLD,
             for lo, hi in zip(edges, edges[1:])]
     hit = next((e for e in bins if e.value is not None and CLASSES[name].refutes(e.value, {})),
                None)
-    ends, decay = _ring_probe(name, rings, knots[0], min_ring_pairs, decay_threshold)
+    ends, decay = _ring_probe(name, rings, knots[0])
     by_decay = hit is None and decay is not None
-    hit = decay if by_decay else hit
-    return ModulusEstimate(
-        kind="empirical",
-        label=f"phi_hat[{label}]",
-        table=tuple((t, np.inf if e.value is None else e.value) for t, e in zip(knots, bins)),
-        verdict=CONSISTENT if hit is None else REFUTED,
-        witness=None if hit is None else hit.witness,
-        witness_value=None if hit is None else hit.value,
-        rings=tuple({"radius": r, "min_product": e.value, "pairs": e.count} for r, e in ends),
-        seed=cfg.seed,
-        sample_count=cfg.sample_count,
+    return _certificate(
+        name,
+        {
+            "rings": [{"radius": r, "min_product": e.value, "pairs": e.count} for r, e in ends],
+            "sampler": cfg.describe(),
+        },
+        [{"probe": t, "value": e.value} for t, e in zip(knots, bins)],
+        hit is not None or by_decay, cfg.seed, cfg.sample_count,
+        decay if by_decay else hit,
         notes="refuted by ring decay of the modulus" if by_decay else "",
     )
 
@@ -628,9 +622,6 @@ def certify_strongly_monotone(A: Union[MonotoneOperator, NonexpansiveMap],
 # ---------------------------------------------------------------------------
 # Sequential (SNE / SSNE) probes on witness families
 # ---------------------------------------------------------------------------
-
-
-from .gallery import WitnessFamily  # noqa: E402  (shared domain type)
 
 
 def scaled_pair_family(direction, gap, name: str = "scaled-pair",
@@ -668,23 +659,20 @@ class SequentialReport:
 
 
 def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
-                     n_max: int, *, decay_tol: float = 1e-6,
-                     gap_floor: float = 1e-3,
-                     bounded_factor: float = 10.0,
-                     premise_ulps: float = 512.0) -> SequentialReport:
+                     n_max: int) -> SequentialReport:
     """Evaluate the sequential nonexpansiveness definitions along a family.
 
     In ``ssne`` mode the premise is ``d_n = b_n^2 - |Tx_n - Ty_n|^2``; in
     ``sne`` mode it is ``r_n = b_n - |Tx_n - Ty_n|`` and the separations
     must stay bounded for a refutation to count.  A family whose premise
-    tail vanishes while the displacement gap stays above ``gap_floor`` is a
-    refutation witness for the class.
+    tail vanishes while the displacement gap stays above ``SEQ_GAP_FLOOR``
+    is a refutation witness for the class.
 
-    "Vanishes" is judged against ``decay_tol`` plus the float64 error bar of
-    the evaluated statistic (``premise_ulps`` units of ``eps * b_n^2``,
-    resp. ``eps * b_n``): along families with growing base points the
-    difference of squares cannot be resolved below that bar, although the
-    true value tends to zero.
+    "Vanishes" is judged against ``SEQ_DECAY_TOL`` plus the float64 error
+    bar of the evaluated statistic (``SEQ_PREMISE_ULPS`` units of
+    ``eps * b_n^2``, resp. ``eps * b_n``): along families with growing base
+    points the difference of squares cannot be resolved below that bar,
+    although the true value tends to zero.
     """
     if mode not in ("sne", "ssne"):
         raise DomainError("mode must be 'sne' or 'ssne'")
@@ -703,12 +691,12 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     scale = b if mode == "sne" else b * b
     tail = max(3, len(ns) // 4)
     eps64 = np.finfo(float).eps
-    bars = decay_tol + premise_ulps * eps64 * scale[-tail:]
+    bars = SEQ_DECAY_TOL + SEQ_PREMISE_ULPS * eps64 * scale[-tail:]
     premise_tail = float(np.max(np.abs(premise[-tail:])))
     gap_tail = float(np.min(gap[-tail:]))
-    bounded = bool(np.max(b) <= bounded_factor * max(np.min(b), 1e-300))
+    bounded = bool(np.max(b) <= SEQ_BOUNDED_FACTOR * max(np.min(b), 1e-300))
     vanishes = bool(np.all(np.abs(premise[-tail:]) <= bars))
-    persists = gap_tail >= gap_floor
+    persists = gap_tail >= SEQ_GAP_FLOOR
     refuted = vanishes and persists and (mode == "ssne" or bounded)
     return SequentialReport(
         family=family.name,
@@ -795,28 +783,24 @@ class GrowthReport:
 
     @property
     def growth_holds(self) -> bool:
-        return self.top_decile_inf is None or self.top_decile_inf > 1e-6
+        return self.top_decile_inf is None or not CLASSES["growth-condition"].refutes(
+            self.top_decile_inf, {})
+
+
+def _top_decile(dist):
+    """Mask of the largest-separation decile (at least one pair)."""
+    mask = np.zeros(dist.size, dtype=bool)
+    mask[np.argsort(dist)[-max(1, dist.size // 10):]] = True
+    return mask
 
 
 def check_growth(pairs) -> GrowthReport:
     """Growth-condition probe on graph-sample pairs; the infimum over the
     largest-separation decile proxies the liminf at infinity.  Pairs that
     all have ``x = y`` hold it vacuously: ``top_decile_inf`` is ``None``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist, ratio = _ratio(*_stack_graph_pairs(pairs), {})
-    keep = dist > 0
-    if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(ratio[keep]))):
-        raise NumericalFailure("non-finite growth ratio on the graph pairs")
-    dist, ratio = dist[keep], ratio[keep]
-    if dist.size == 0:
-        return GrowthReport(distances=dist, ratios=ratio, top_decile_inf=None)
-    order = np.argsort(dist)
-    top = order[-max(1, len(order) // 10):]
-    return GrowthReport(
-        distances=dist,
-        ratios=ratio,
-        top_decile_inf=float(np.min(ratio[top])),
-    )
+    b = _measure("growth-condition", _stack_graph_pairs(pairs), True)
+    top = _extreme("growth-condition", [b], _top_decile)
+    return GrowthReport(distances=b.dist, ratios=b.value, top_decile_inf=top.value)
 
 
 @dataclass
@@ -829,7 +813,7 @@ class CoerciveReport:
     increasing: bool
 
 
-def check_coercive(samples, shells: int = 8) -> CoerciveReport:
+def check_coercive(samples) -> CoerciveReport:
     """Coercivity probe; a graph with every sample at ``x = 0`` has no
     shells (empty edges and minima)."""
     X, XS = _stack(samples)
@@ -841,14 +825,13 @@ def check_coercive(samples, shells: int = 8) -> CoerciveReport:
     if val.size == 0:
         return CoerciveReport(shell_edges=np.empty(0), shell_mins=np.empty(0), increasing=False)
     nrm = nrm[keep]
-    edges = np.quantile(nrm, np.linspace(0.0, 1.0, shells + 1))
+    edges = np.quantile(nrm, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
     mins = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (nrm >= lo) & (nrm <= hi)
         mins.append(float(np.min(val[sel])) if np.any(sel) else np.nan)
     mins = np.array(mins)
-    ok = np.isfinite(mins)
-    seq = mins[ok]
+    seq = mins[np.isfinite(mins)]
     increasing = bool(
         len(seq) >= 2
         and np.all(np.diff(seq) >= -1e-12)
@@ -869,13 +852,9 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
         pairs = (minty_sample(target, Z1), minty_sample(target, Z2))
     else:
         pairs = [target(n) for n in range(1, 201)]
-    if name == "growth-condition":
-        rep = check_growth(pairs)
-        vacuous = rep.top_decile_inf is None
-        return _certificate(name, {}, [{"probe": 0.9, "value": rep.top_decile_inf}],
-                            not rep.growth_holds, cfg.seed, cfg.sample_count,
-                            notes="vacuous: no sampled pair has x != y" if vacuous else "")
     X, XS, Y, YS = _stack_graph_pairs(pairs)
+    if name == "growth-condition":
+        return _judge(name, _measure(name, (X, XS, Y, YS), True), cfg, {}, 0.9, _top_decile)
     rep = check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])))
     estimates = [
         {"probe": float(e), "value": (None if not np.isfinite(v) else float(v))}
@@ -942,8 +921,8 @@ class SelfDualReport:
                 "reflected-resolvent-cld": self.verdicts[2],
             },
             "agrees_with_selfduality": self.agrees,
-            "modulus_primal": self.modulus_primal.certificate().to_json_dict(),
-            "modulus_inverse": self.modulus_inverse.certificate().to_json_dict(),
+            "modulus_primal": self.modulus_primal.to_json_dict(),
+            "modulus_inverse": self.modulus_inverse.to_json_dict(),
             "cld": self.cld.to_json_dict(),
         }
 
@@ -965,18 +944,16 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
     def lifted(arrays):  # lazily, so a map probe drops each batch's values once measured
         return ((r, None if d is None else arrays(*d)) for r, d in draw)
 
-    m1 = _modulus(A.name, lifted(lambda x, y, g, h: (*g, *h)), knots, cfg)
+    m1 = _modulus(lifted(lambda x, y, g, h: (*g, *h)), knots, cfg)
     # A^-1's graph and R_A by the expressions of invert() and reflected_map()
-    m2 = _modulus(f"{A.name}^-1", lifted(lambda x, y, g, h: (g.xstar, x - g.xstar,
-                                                             h.xstar, y - h.xstar)), knots, cfg)
+    m2 = _modulus(lifted(lambda x, y, g, h: (g.xstar, x - g.xstar, h.xstar, y - h.xstar)),
+                  knots, cfg)
     if eps == knots:
         c3 = _cld(lifted(lambda x, y, g, h: (x, 2.0 * g.x - x, y, 2.0 * h.x - y)), eps, cfg)
     else:
         c3 = certify_cld(reflected_map(A), eps, cfg)
     verdicts = (m1.verdict, m2.verdict, c3.verdict)
-    agrees = ((m1.verdict == CONSISTENT) and (m2.verdict == CONSISTENT)) == (
-        c3.verdict == CONSISTENT
-    )
+    agrees = (verdicts[:2] == (CONSISTENT, CONSISTENT)) == (c3.verdict == CONSISTENT)
     return SelfDualReport(
         operator=A.name,
         modulus_primal=m1,

@@ -50,9 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    return values
 
 
 def _box(text: str):
@@ -70,7 +73,10 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
         x = np.zeros(dim)
         x[k - 1] = 1.0
         return x
-    vals = np.array(_float_list(text), dtype=float)
+    try:
+        vals = np.array(_float_list(text), dtype=float)
+    except argparse.ArgumentTypeError as exc:
+        raise DomainError(f"--x0: {exc}") from None
     if vals.size == 1 and dim > 1:
         return np.full(dim, float(vals[0]))
     if vals.size != dim:
@@ -162,9 +168,7 @@ CERTIFIERS = {
     "contraction-large-distances": (
         "map", lambda T, cfg, a: cert.certify_cld(T, a.eps or a.t or PROBES, cfg)),
     "uniformly-monotone": (
-        "operator",
-        lambda A, cfg, a: cert.estimate_modulus(A, a.t or PROBES, cfg).certificate(cfg.describe()),
-    ),
+        "operator", lambda A, cfg, a: cert.estimate_modulus(A, a.t or PROBES, cfg)),
     "strongly-monotone": ("operator", lambda A, cfg, a: cert.certify_strongly_monotone(A, cfg)),
     "strongly-nonexpansive": ("map", lambda T, cfg, a: cert.certify_sequential(
         T, "strongly-nonexpansive", cfg, _own_families(a.op))),
@@ -176,27 +180,20 @@ CERTIFIERS = {
 }
 
 
+def _config(args, **extra) -> dict:
+    """The resolved configuration of a certify or selfdual run."""
+    return {"op": args.op, "dim": args.dim, "seed": args.seed, "samples": args.samples,
+            "box": list(args.box), "t": args.t, "eps": args.eps, **extra}
+
+
 def cmd_certify(args) -> int:
     kind, certifier = CERTIFIERS[args.klass]
     target = _target(kind, args.op, args.dim)
-    # a built target always has the entry's dimension (witness generators
-    # carry none of their own)
-    dim = gallery.entry(args.op).default_dim if args.dim is None else args.dim
-    certificate = certifier(target, _sampler(args, dim), args)
+    certificate = certifier(target, _sampler(args, gallery.dimension(args.op, args.dim)), args)
     payload = {
         "schema": 1,
         "command": "certify",
-        "config": {
-            "op": args.op,
-            "class": args.klass,
-            "dim": args.dim,
-            "seed": args.seed,
-            "samples": args.samples,
-            "box": list(args.box),
-            "t": args.t,
-            "eps": args.eps,
-            "alpha": args.alpha,
-        },
+        "config": _config(args, alpha=args.alpha, **{"class": args.klass}),
         "certificate": certificate.to_json_dict(),
     }
     e = gallery.entry(args.op)
@@ -249,6 +246,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    # the staircase's segment data ends at its cap
+    cap = gallery.default_staircase().cap if args.example == "staircase-ssne" else np.inf
+    if not 1 <= args.n <= cap:
+        raise DomainError(f"--n must lie in 1..{cap}, got {args.n}")
     rows = []
     if args.example == "staircase-ssne":
         header = ["n", "x_1", "x_2", "y_1", "y_2", "d_n", "g_n"]
@@ -288,15 +289,7 @@ def cmd_selfdual(args) -> int:
     payload = {
         "schema": 1,
         "command": "selfdual",
-        "config": {
-            "op": args.op,
-            "dim": args.dim,
-            "seed": args.seed,
-            "samples": args.samples,
-            "box": list(args.box),
-            "t": args.t,
-            "eps": args.eps,
-        },
+        "config": _config(args),
         "report": report.to_json_dict(),
     }
     stream = _write_json(args.out, payload)
@@ -317,18 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--json", default=None, help="write the listing to a JSON file")
     g.set_defaults(func=cmd_gallery)
 
-    c = sub.add_parser("certify", help="run a class certifier")
-    c.add_argument("--op", required=True)
+    # the options certify and selfdual share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--op", required=True)
+    run.add_argument("--dim", type=int, default=None)
+    run.add_argument("--t", type=_float_list, default=None, help="shell radii, e.g. 0.5,1,2")
+    run.add_argument("--eps", type=_float_list, default=None, help="CLD probes, e.g. 0.01,0.1,1")
+    run.add_argument("--samples", type=int, default=100_000)
+    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--box", type=_box, default=[-50.0, 50.0])
+    run.add_argument("--out", default=None)
+
+    c = sub.add_parser("certify", parents=[run], help="run a class certifier")
     c.add_argument("--class", dest="klass", required=True, choices=CERTIFIERS, metavar="CLASS",
                    help=", ".join(CERTIFIERS))
-    c.add_argument("--dim", type=int, default=None)
-    c.add_argument("--t", type=_float_list, default=None, help="shell radii, e.g. 0.5,1,2")
-    c.add_argument("--eps", type=_float_list, default=None, help="CLD probes, e.g. 0.01,0.1,1")
     c.add_argument("--alpha", type=float, default=0.5)
-    c.add_argument("--samples", type=int, default=100_000)
-    c.add_argument("--seed", type=int, default=_default_seed())
-    c.add_argument("--box", type=_box, default=[-50.0, 50.0])
-    c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("split", help="run a splitting iteration")
@@ -352,15 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", default=None)
     w.set_defaults(func=cmd_witness)
 
-    d = sub.add_parser("selfdual", help="self-duality verdict triptych")
-    d.add_argument("--op", required=True)
-    d.add_argument("--dim", type=int, default=None)
-    d.add_argument("--t", type=_float_list, default=None)
-    d.add_argument("--eps", type=_float_list, default=None)
-    d.add_argument("--samples", type=int, default=100_000)
-    d.add_argument("--seed", type=int, default=_default_seed())
-    d.add_argument("--box", type=_box, default=[-50.0, 50.0])
-    d.add_argument("--out", default=None)
+    d = sub.add_parser("selfdual", parents=[run], help="self-duality verdict triptych")
     d.set_defaults(func=cmd_selfdual)
 
     return p

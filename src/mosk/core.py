@@ -104,6 +104,16 @@ class GraphSample(NamedTuple):
     xstar: np.ndarray
 
 
+@dataclass(frozen=True)
+class WitnessFamily:
+    """An indexed family of point pairs used by the sequential certifiers."""
+
+    name: str
+    generator: Callable[[int], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    expected_behavior: str = ""
+    n_cap: int = 60
+
+
 def _check_dim(dim: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if dim > 1 and (x.ndim == 0 or x.shape[-1] != dim):

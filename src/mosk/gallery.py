@@ -27,6 +27,7 @@ from .core import (
     GraphSample,
     MonotoneOperator,
     NonexpansiveMap,
+    WitnessFamily,
     from_neg_reflected,
     solve_increasing,
 )
@@ -270,10 +271,11 @@ def quartic_mixed_f(x):
     """Piecewise convex function: ``4x^2-2``, ``2x^4``, ``x^{3/2}``,
     ``3x^2/4 + 1/4`` on ``(-inf,-1], (-1,0), [0,1), [1,inf)``."""
     x = np.asarray(x, dtype=float)
-    xp = np.clip(x, 0.0, None)
+    # the inner pieces see their own intervals only, so neither can overflow
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     return np.select(
         [x <= -1.0, x < 0.0, x < 1.0],
-        [4.0 * x * x - 2.0, 2.0 * x**4, xp**1.5],
+        [4.0 * x * x - 2.0, 2.0 * xn**4, xp**1.5],
         default=0.75 * x * x + 0.25,
     )
 
@@ -282,10 +284,10 @@ def quartic_mixed_fprime(x):
     """Derivative of :func:`quartic_mixed_f`: continuous and strictly
     increasing, with flattening of order ``x^3`` at the origin."""
     x = np.asarray(x, dtype=float)
-    xp = np.clip(x, 0.0, None)
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     return np.select(
         [x <= -1.0, x < 0.0, x < 1.0],
-        [8.0 * x, 8.0 * x**3, 1.5 * np.sqrt(xp)],
+        [8.0 * x, 8.0 * xn**3, 1.5 * np.sqrt(xp)],
         default=1.5 * x,
     )
 
@@ -504,16 +506,6 @@ def staircase_witnesses(n: int, params: Optional[StaircaseParams] = None):
     gap1 = 2.0**n * u / (1.0 + rho)
     g = math.hypot(gap1, rho)
     return x, y, d, g
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    """An indexed family of point pairs used by the sequential certifiers."""
-
-    name: str
-    generator: Callable[[int], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    expected_behavior: str = ""
-    n_cap: int = 60
 
 
 def staircase_witness_family(params: Optional[StaircaseParams] = None) -> WitnessFamily:
@@ -834,24 +826,32 @@ def entry(name: str) -> GalleryEntry:
         raise UnsupportedOperator(f"unknown gallery entry {name!r}") from None
 
 
+def dimension(name: str, dim: Optional[int] = None) -> int:
+    """The dimension an entry is built in: ``dim``, or the entry's default
+    when ``None``; a usage error when it is below 1 or the entry's
+    dimension is fixed to another value."""
+    e = entry(name)
+    if dim is None:
+        return e.default_dim
+    if dim < 1:
+        raise DomainError(f"dimension must be >= 1, got {dim}")
+    if not e.parametric_dim and dim != e.default_dim:
+        raise DomainError(f"{name} has fixed dimension {e.default_dim}")
+    return dim
+
+
 def operator(name: str, dim: Optional[int] = None) -> MonotoneOperator:
     e = entry(name)
     if e.make_operator is None:
         raise UnsupportedOperator(f"gallery entry {name!r} exposes no operator")
-    d = e.default_dim if dim is None else dim
-    if not e.parametric_dim and dim is not None and dim != e.default_dim:
-        raise DomainError(f"{name} has fixed dimension {e.default_dim}")
-    return e.make_operator(d)
+    return e.make_operator(dimension(name, dim))
 
 
 def mapping(name: str, dim: Optional[int] = None) -> NonexpansiveMap:
     e = entry(name)
     if e.make_map is None:
         raise UnsupportedOperator(f"gallery entry {name!r} exposes no mapping")
-    d = e.default_dim if dim is None else dim
-    if not e.parametric_dim and dim is not None and dim != e.default_dim:
-        raise DomainError(f"{name} has fixed dimension {e.default_dim}")
-    return e.make_map(d)
+    return e.make_map(dimension(name, dim))
 
 
 def function(name: str) -> FunctionEntry:

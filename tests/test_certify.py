@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +423,16 @@ def test_pair_batches_strategies():
     )
     X, Y = certify.pair_batches(cfg, shell_distances=[0.25])
     assert np.allclose(np.linalg.norm(X - Y, axis=1), 0.25)
+
+
+def test_certify_imports_only_core_and_exceptions():
+    # the certifiers sit below the data layer: nothing of gallery is imported
+    tree = ast.parse(Path(certify.__file__).read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources.add(f"{'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+    assert not any("gallery" in src for src in sources)
+    assert {src for src in sources if src.startswith(".")} == {".core", ".exceptions"}

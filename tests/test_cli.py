@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from mosk import certify as cert
+from mosk import gallery
 from mosk.cli import main
 
 
@@ -193,11 +195,42 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     assert main(["split", "--algo", "pr", "--opA", "nope", "--opB", "zero", "--x0", "1"]) == 1
     assert main(["certify", "--op", "cubic", "--class", "mystery"]) == 1
     assert main(["certify", "--op", "cubic", "--class", "nonexpansive", "--box=5"]) == 1
+    assert main(["selfdual", "--op", "cubic", "--box=5"]) == 1
+    # an empty probe list would silently run the default probes
+    assert main(["certify", "--op", "cubic", "--class", "uniformly-monotone", "--t", ","]) == 1
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
-    assert "error: argument --class" in err and "error: argument --box" in err
+    assert "error: argument --class" in err and err.count("error: argument --box") == 2
+    assert "error: argument --t" in err
     assert "error: MOSK_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_dim_below_one_is_usage_error(dim, capsys):
+    code = main(["certify", "--op", "identity", "--dim", dim, "--class", "nonexpansive",
+                 "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error: dimension must be >= 1" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "example,n", [("staircase-ssne", "41"), ("staircase-ssne", "0"), ("cone-subdiff-growth", "-2")]
+)
+def test_witness_index_out_of_range_is_usage_error(example, n, tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    code = main(["witness", "--example", example, "--n", n, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: --n must lie in 1..") and "Traceback" not in err
+
+
+def test_x0_not_a_float_list_is_usage_error(capsys):
+    for x0 in ("abc", ","):
+        assert main(["split", "--algo", "pr", "--opA", "zero", "--opB", "zero", "--x0", x0]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: --x0") == 2 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -281,12 +314,37 @@ def test_certify_coercive_and_growth(tmp_path):
     assert main(
         ["certify", "--op", "cone-subdiff", "--class", "coercive", "--samples", "100"]
     ) == 0
+    out = tmp_path / "growth.json"
     assert main(
-        ["certify", "--op", "cone-subdiff", "--class", "growth-condition", "--samples", "100"]
+        ["certify", "--op", "cone-subdiff", "--class", "growth-condition", "--samples", "100",
+         "--out", str(out)]
     ) == 2
+    # the refutation carries the four graph points of its worst pair
+    payload = json.loads(out.read_text())["certificate"]
+    assert payload["witness"] == [[181.0, 0.0], [362.0, 0.0], [181.0, 181.0], [362.0, 0.0]]
+    c = cert.ClassCertificate(
+        class_name=payload["class"], params=payload["params"], estimates=payload["estimates"],
+        verdict=payload["verdict"], witness=payload["witness"], witness_value=0.0,
+        seed=payload["seed"], sample_count=payload["samples"],
+    )
+    assert cert.replay(c) == payload["estimates"][0]["value"] == 0.0
     assert main(
         ["certify", "--op", "identity", "--class", "growth-condition", "--samples", "5000"]
     ) == 0
+
+
+def test_estimate_modulus_is_the_cli_certificate(tmp_path):
+    out = tmp_path / "um.json"
+    argv = ["certify", "--op", "rotator", "--class", "uniformly-monotone", "--t", "0.5,1",
+            "--samples", "3000", "--seed", "5", "--box=-4,4", "--out", str(out)]
+    assert main(argv) == 2
+    cfg = cert.SamplerConfig(seed=5, sample_count=3000, box_low=[-4.0, -4.0],
+                             box_high=[4.0, 4.0])
+    est = cert.estimate_modulus(gallery.operator("rotator"), [0.5, 1.0], cfg)
+    assert isinstance(est, cert.ClassCertificate)
+    # the file holds the JSON encoding, so compare through it
+    expected = json.loads(json.dumps(est.to_json_dict()))
+    assert json.loads(out.read_text())["certificate"] == expected
 
 
 def test_mosk_seed_env(monkeypatch, tmp_path):

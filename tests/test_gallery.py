@@ -286,6 +286,16 @@ def test_quartic_mixed_fprime_examples(x, expected):
     assert gallery.quartic_mixed_fprime(x) == pytest.approx(expected, abs=1e-14)
 
 
+def test_quartic_mixed_pieces_do_not_overflow():
+    # each piece is evaluated on its own interval only
+    with np.errstate(over="raise"):
+        fp = gallery.quartic_mixed_fprime(np.array([-1e200, 1e200]))
+        f = gallery.quartic_mixed_f(np.array([-1e100, 1e100]))
+    assert fp.tolist() == [-8e200, 1.5e200]
+    x = 1e100
+    assert f.tolist() == [4.0 * x * x - 2.0, 0.75 * x * x + 0.25]
+
+
 def test_quartic_mixed_fprime_nondecreasing():
     x = np.linspace(-30.0, 30.0, 100_000)
     f = gallery.quartic_mixed_fprime(x)
