@@ -207,6 +207,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if args.probes < 0:
+        raise DomainError(f"--probes must be >= 0, got {args.probes}")
     A = gallery.operator(args.opA, args.dim)
     B = gallery.operator(args.opB, args.dim)
     stop = split.StoppingRule(max_iter=args.max_iter, tol_residual=args.tol)

@@ -228,7 +228,8 @@ def solve_increasing(
     strictly inside the bracket, else bisection.  An element stops once
     ``|fun(t) - target| <= rtol * |target|`` (``tol`` when ``rtol`` is 0) or
     no float is left inside its bracket.  Raises ``NumericalFailure`` unless
-    every final residual is at most ``tol``.
+    every final residual is at most ``tol``, which may be an array
+    broadcasting against ``target`` (one tolerance per element).
     """
     scalar = np.ndim(target) == 0
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
@@ -273,7 +274,9 @@ def solve_increasing(
         t = np.where(done, t, nxt)
         f = fun(t) - tgt
     if not np.all(np.abs(f) <= tol):
-        raise NumericalFailure(f"root finder stalled above residual tolerance {tol}")
+        raise NumericalFailure(
+            f"root finder stalled above residual tolerance {float(np.max(tol))}"
+        )
     return float(t[0]) if scalar else t
 
 

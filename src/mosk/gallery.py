@@ -123,7 +123,7 @@ def h_value(s):
     small = np.abs(s) <= _H_SERIES_CUTOFF
     ss = np.where(small, s, 0.0)
     w = np.cbrt(6.0 * ss)
-    t = w + w**3 / 60.0
+    t = w + w * w * w / 60.0
     for _ in range(3):
         f = _t_minus_sin_series(t) - ss
         d = 2.0 * np.sin(0.5 * t) ** 2
@@ -275,7 +275,7 @@ def quartic_mixed_f(x):
     xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     return np.select(
         [x <= -1.0, x < 0.0, x < 1.0],
-        [4.0 * x * x - 2.0, 2.0 * xn**4, xp**1.5],
+        [4.0 * x * x - 2.0, 2.0 * np.square(np.square(xn)), xp**1.5],
         default=0.75 * x * x + 0.25,
     )
 
@@ -287,8 +287,22 @@ def quartic_mixed_fprime(x):
     xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     return np.select(
         [x <= -1.0, x < 0.0, x < 1.0],
-        [8.0 * x, 8.0 * xn**3, 1.5 * np.sqrt(xp)],
+        [8.0 * x, 8.0 * xn * xn * xn, 1.5 * np.sqrt(xp)],
         default=1.5 * x,
+    )
+
+
+def quartic_mixed_fsecond(x):
+    """Second derivative of :func:`quartic_mixed_f`: ``8``, ``24x^2``,
+    ``0.75/sqrt(x)``, ``1.5`` on the pieces; infinite at ``0+``."""
+    x = np.asarray(x, dtype=float)
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        right = 0.75 / np.sqrt(xp)
+    return np.select(
+        [x <= -1.0, x < 0.0, x < 1.0],
+        [8.0, 24.0 * xn * xn, right],
+        default=1.5,
     )
 
 
@@ -325,7 +339,8 @@ def quartic_mixed_resolvent(x, gamma: float = 1.0):
 
 @dataclass(frozen=True)
 class FunctionEntry:
-    """A differentiable convex function with optional closed-form conjugate."""
+    """A differentiable convex function with optional closed-form conjugate
+    and optional second derivative (Newton steps for the conjugate)."""
 
     name: str
     eval_f: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -333,17 +348,28 @@ class FunctionEntry:
     eval_fstar: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    eval_fsecond: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False
+    )
 
 
 def fenchel_conjugate_1d(entry: FunctionEntry, xstar, tol: float = 1e-12):
     """Evaluate the convex conjugate ``f*(x*) = x* y - f(y)`` where ``y``
-    solves ``f'(y) = x*`` (by :func:`solve_increasing`).
+    solves ``f'(y) = x*`` (by :func:`solve_increasing`, with Newton steps on
+    ``eval_fsecond`` when the entry has one).
 
     Requires ``eval_fprime`` continuous, strictly increasing and surjective
-    onto a neighbourhood of ``x*``.
+    onto a neighbourhood of ``x*``.  The residual tolerance is
+    ``tol * max(1, |x*|)``: an absolute ``tol`` falls below one ulp of
+    ``x*`` once ``|x*|`` exceeds about ``1e4``.
     """
     xs = np.asarray(xstar, dtype=float)
-    y = solve_increasing(entry.eval_fprime, xs, tol=tol)
+    y = solve_increasing(
+        entry.eval_fprime,
+        xs,
+        tol=tol * np.maximum(1.0, np.abs(xs)),
+        dfun=entry.eval_fsecond,
+    )
     return xs * y - entry.eval_f(y)
 
 
@@ -543,12 +569,17 @@ class GalleryEntry:
     make_witnesses: Optional[Callable] = field(default=None, repr=False)
 
 
+def _cube(x):
+    x = np.asarray(x, dtype=float)
+    return x * x * x
+
+
 def _op_cubic(dim: int) -> MonotoneOperator:
     return MonotoneOperator(
         dim=1,
         resolvent=cubic_resolvent,
         name="cubic",
-        direct_eval=lambda x: np.asarray(x, dtype=float) ** 3,
+        direct_eval=_cube,
         inverse_direct_eval=np.cbrt,
         declared_properties={"maximally-monotone": None, "uniformly-monotone": None},
         scaled_resolvent=lambda g: (
@@ -665,9 +696,10 @@ def _op_shift(dim: int) -> MonotoneOperator:
 def _fn_cubic() -> FunctionEntry:
     return FunctionEntry(
         name="cubic",
-        eval_f=lambda x: 0.25 * np.asarray(x, dtype=float) ** 4,
-        eval_fprime=lambda x: np.asarray(x, dtype=float) ** 3,
+        eval_f=lambda x: 0.25 * np.square(np.square(np.asarray(x, dtype=float))),
+        eval_fprime=_cube,
         eval_fstar=lambda s: 0.75 * np.abs(np.asarray(s, dtype=float)) ** (4.0 / 3.0),
+        eval_fsecond=lambda x: 3.0 * np.square(np.asarray(x, dtype=float)),
     )
 
 
@@ -677,6 +709,7 @@ def _fn_quartic() -> FunctionEntry:
         eval_f=quartic_mixed_f,
         eval_fprime=quartic_mixed_fprime,
         eval_fstar=None,
+        eval_fsecond=quartic_mixed_fsecond,
     )
 
 

@@ -198,11 +198,14 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     assert main(["selfdual", "--op", "cubic", "--box=5"]) == 1
     # an empty probe list would silently run the default probes
     assert main(["certify", "--op", "cubic", "--class", "uniformly-monotone", "--t", ","]) == 1
+    # a negative probe count would silently record no probes
+    assert main(["split", "--algo", "pr", "--opA", "zero", "--opB", "zero", "--x0", "1",
+                 "--probes", "-3"]) == 1
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
     assert "error: argument --class" in err and err.count("error: argument --box") == 2
-    assert "error: argument --t" in err
+    assert "error: argument --t" in err and "error: --probes must be >= 0" in err
     assert "error: MOSK_SEED" in err and "Traceback" not in err
 
 
