@@ -359,15 +359,18 @@ def fenchel_conjugate_1d(entry: FunctionEntry, xstar, tol: float = 1e-12):
     ``eval_fsecond`` when the entry has one).
 
     Requires ``eval_fprime`` continuous, strictly increasing and surjective
-    onto a neighbourhood of ``x*``.  The residual tolerance is
-    ``tol * max(1, |x*|)``: an absolute ``tol`` falls below one ulp of
-    ``x*`` once ``|x*|`` exceeds about ``1e4``.
+    onto a neighbourhood of ``x*``.  An element stops once its residual is
+    at most ``tol * |x*|`` or its bracket has collapsed (as at ``x* = 0``),
+    so small ``|x*|`` keep their relative accuracy; the result is accepted
+    with residuals up to ``tol * max(1, |x*|)``, since an absolute ``tol``
+    falls below one ulp of ``x*`` once ``|x*|`` exceeds about ``1e4``.
     """
     xs = np.asarray(xstar, dtype=float)
     y = solve_increasing(
         entry.eval_fprime,
         xs,
         tol=tol * np.maximum(1.0, np.abs(xs)),
+        rtol=tol,
         dfun=entry.eval_fsecond,
     )
     return xs * y - entry.eval_f(y)

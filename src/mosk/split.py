@@ -10,8 +10,8 @@ monotonicity of the second operator) is detected and flagged on the trace.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -27,6 +27,9 @@ TERM_DIVERGED = "diverged"
 
 # Detection threshold for the flagged period-2 pattern.
 PERIOD2_TOL = 1e-12
+
+# Fields converted to Python floats at a time when writing a trace CSV.
+CSV_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -78,31 +81,42 @@ class IterationTrace:
 
     def write_csv(self, path, config: Optional[dict] = None):
         """Write the trace as CSV: one row per iterate, floats with 17
-        significant digits.  An optional leading ``#`` comment line embeds
-        the resolved run configuration as JSON."""
-        d = self.iterates.shape[1]
+        significant digits, ``\\r\\n`` line ends, and an empty residual
+        field on the rows past the last step.  An optional leading ``#``
+        comment line embeds the resolved run configuration as JSON."""
+        n, d = self.iterates.shape
         header = ["iter"] + [f"x_{i}" for i in range(d)]
+        columns = [np.arange(n, dtype=float), self.iterates]
         if self.shadows is not None:
             header += [f"y_{i}" for i in range(d)]
-        header += ["residual"]
+            columns.append(self.shadows)
+        # rows past the last step keep a placeholder that "%.0s" prints as ""
+        stepped = min(len(self.residuals), n)
+        residuals = np.zeros(n)
+        residuals[:stepped] = self.residuals[:stepped]
+        res_col = len(header)
+        header.append("residual")
+        columns.append(residuals)
         if self.distances_to_ref is not None:
-            header += ["dist_ref"]
+            header.append("dist_ref")
+            columns.append(self.distances_to_ref)
         header += [f"probe_{k}" for k in self.probe_coords]
+        columns.append(self.iterates[:, list(self.probe_coords)])
+        fields = ["%d"] + ["%.17g"] * (len(header) - 1)
+        row = ",".join(fields) + "\r\n"
+        fields[res_col] = "%.0s"
+        unstepped_row = ",".join(fields) + "\r\n"
+        # the float table and its Python floats exist one block of rows (about
+        # CSV_BLOCK_VALUES fields) at a time, so writing adds little memory
+        block = max(1, CSV_BLOCK_VALUES // len(header))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if config is not None:
                 fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for n in range(len(self.iterates)):
-                row = [str(n)]
-                row += [f"{v:.17g}" for v in self.iterates[n]]
-                if self.shadows is not None:
-                    row += [f"{v:.17g}" for v in self.shadows[n]]
-                row += [f"{self.residuals[n]:.17g}" if n < len(self.residuals) else ""]
-                if self.distances_to_ref is not None:
-                    row += [f"{self.distances_to_ref[n]:.17g}"]
-                row += [f"{self.iterates[n][k]:.17g}" for k in self.probe_coords]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for fmt, lo, hi in ((row, 0, stepped), (unstepped_row, stepped, n)):
+                for b in range(lo, hi, block):
+                    table = np.column_stack([c[b:min(b + block, hi)] for c in columns])
+                    fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: float,
@@ -128,9 +142,11 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
             name: str = "iterate") -> IterationTrace:
     """Run ``x_{n+1} = T(x_n)`` until a stopping condition fires.
 
-    ``shadow`` (when given) is evaluated at every iterate and recorded
-    alongside; ``ref`` records distances to a supplied reference point; the
-    artifact never claims to know the fixed-point set a priori.
+    ``shadow`` (when given) is called once, on the stacked iterates of shape
+    ``(n_steps + 1, dim)``, so it must be vectorized over leading axes as
+    every ``core`` oracle is; its result is recorded alongside.  ``ref``
+    records distances to a supplied reference point; the artifact never
+    claims to know the fixed-point set a priori.
     """
     ev = T.eval if isinstance(T, NonexpansiveMap) else T
     x = as_point(x0, dim=T.dim if isinstance(T, NonexpansiveMap) else None)
@@ -138,11 +154,14 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     residuals = []
     termination = TERM_MAX_ITER
     for _ in range(stop.max_iter):
-        if not np.linalg.norm(x) <= stop.divergence_guard:  # NaN iterates diverge too
+        # math.sqrt(v.dot(v)) is what np.linalg.norm computes on a 1-D float
+        # vector, without its per-call overhead
+        if not math.sqrt(x.dot(x)) <= stop.divergence_guard:  # NaN iterates diverge too
             termination = TERM_DIVERGED
             break
         x1 = np.asarray(ev(x), dtype=float)
-        r = float(np.linalg.norm(x1 - x))
+        dx = x1 - x
+        r = math.sqrt(dx.dot(dx))
         xs.append(x1)
         residuals.append(r)
         x = x1
@@ -153,7 +172,7 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     residuals = np.array(residuals)
     shadows = None
     if shadow is not None:
-        shadows = np.stack([np.asarray(shadow(v), dtype=float) for v in xs])
+        shadows = np.asarray(shadow(iterates), dtype=float)
     dists = None
     if ref is not None:
         refp = as_point(ref, dim=iterates.shape[1])

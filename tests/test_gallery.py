@@ -423,20 +423,21 @@ def test_cubic_conjugate_takes_newton_steps():
         counted = replace(entry, eval_fprime=fprime, eval_fsecond=fsecond)
         gallery.fenchel_conjugate_1d(counted, s)
         counts.append(len(calls))
-    # 18 evaluations with Newton steps, 48 by bisection alone
+    # 18 evaluations with Newton steps, 50 by bisection alone
     assert counts[0] <= 20 < 40 <= counts[1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     name=st.sampled_from(["cubic", "quartic-mixed"]),
-    log_abs=st.floats(-3.0, 12.0),
+    log_abs=st.floats(-8.0, 12.0),
     negative=st.booleans(),
 )
 def test_conjugate_newton_matches_bisection(name, log_abs, negative):
-    # for |x*| < 1 the residual tolerance is the absolute 1e-12, which lets
-    # quartic-mixed's two paths drift apart as |x*| shrinks (2e-14 relative
-    # at 1e-5, 2e-8 at 1e-8), so the range stops at 1e-3
+    # the residual stop is relative to |x*|, so both paths keep their
+    # accuracy for small |x*| too (an absolute 1e-12 let quartic-mixed's
+    # paths drift 2e-8 apart at 1e-8); quartic-mixed needs 207 of
+    # MAX_STEPS evaluations at 1e-30, so the range stops at 1e-8
     xstar = (-1.0 if negative else 1.0) * 10.0**log_abs
     entry = gallery.function(name)
     newton = gallery.fenchel_conjugate_1d(entry, xstar)
@@ -447,9 +448,10 @@ def test_conjugate_newton_matches_bisection(name, log_abs, negative):
         assert abs(newton - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("xstar", [1e4, 3e4, 1e5, -1e5, 1e40])
+@pytest.mark.parametrize("xstar", [1e4, 3e4, 1e5, -1e5, 1e40, 1e-8, -1e-8, 1e-20, 1e-30])
 def test_cubic_conjugate_large_arguments(xstar):
-    # an absolute residual of 1e-12 is below one ulp of x* there
+    # an absolute residual of 1e-12 is below one ulp of x* for the large
+    # arguments and far above it for the small ones (1e-30 gave 0.0)
     got = gallery.fenchel_conjugate_1d(gallery.function("cubic"), xstar)
     want = 0.75 * abs(xstar) ** (4.0 / 3.0)
     assert abs(got - want) <= 1e-14 * want

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from mosk import certify, core, gallery, split
 from mosk.combine import pr_operator
 from mosk.core import NonexpansiveMap
-from mosk.exceptions import DomainError, StepSizeOutOfRange
+from mosk.exceptions import DomainError, StepSizeOutOfRange, UnsupportedOperator
 
 
 def test_stopping_rule_validation():
@@ -197,3 +199,144 @@ def test_weak_probe_columns(tmp_path):
     tr.write_csv(path)
     header = path.read_text().splitlines()[0].split(",")
     assert "probe_0" in header and "probe_1" in header
+
+
+def _reference_write_csv(trace, path, config=None):
+    """The per-field ``csv.writer`` trace writer that ``write_csv`` replaced;
+    its output is the byte format ``write_csv`` must keep."""
+    d = trace.iterates.shape[1]
+    header = ["iter"] + [f"x_{i}" for i in range(d)]
+    if trace.shadows is not None:
+        header += [f"y_{i}" for i in range(d)]
+    header += ["residual"]
+    if trace.distances_to_ref is not None:
+        header += ["dist_ref"]
+    header += [f"probe_{k}" for k in trace.probe_coords]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if config is not None:
+            fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for n in range(len(trace.iterates)):
+            row = [str(n)]
+            row += [f"{v:.17g}" for v in trace.iterates[n]]
+            if trace.shadows is not None:
+                row += [f"{v:.17g}" for v in trace.shadows[n]]
+            row += [f"{trace.residuals[n]:.17g}" if n < len(trace.residuals) else ""]
+            if trace.distances_to_ref is not None:
+                row += [f"{trace.distances_to_ref[n]:.17g}"]
+            row += [f"{trace.iterates[n][k]:.17g}" for k in trace.probe_coords]
+            writer.writerow(row)
+
+
+def _block_rows(width):
+    return max(1, split.CSV_BLOCK_VALUES // width)
+
+
+def _csv_cases():
+    C, Q = gallery.operator("cubic"), gallery.operator("quartic-mixed")
+    Z1, N1 = gallery.operator("zero", 1), gallery.operator("normal-cone-zero", 1)
+    S, Z2 = gallery.operator("staircase"), gallery.operator("zero", 2)
+    N16, B16 = gallery.operator("normal-cone-zero", 16), gallery.operator("shift", 16)
+    x16 = np.random.default_rng(3).uniform(-1.0, 1.0, 16)
+    # iter, x_0, y_0, residual: the oscillating PR run spans two row blocks plus two rows
+    long_steps = _block_rows(4) + 1
+    odd = np.array([[np.inf, -0.0], [np.nan, 5e-324], [-np.inf, 1.0 / 3.0]])
+    return {
+        "dr-shadows-ref-probes": split.douglas_rachford(
+            C, Q, [7.0], split.StoppingRule(max_iter=60), ref=[0.0], probe_coords=[0]),
+        "dr-2d": split.douglas_rachford(
+            S, Z2, [3.0, 1.0], split.StoppingRule(max_iter=40), ref=[0.5, 0.5],
+            probe_coords=[1, 0]),
+        "pr-shift-probes": split.peaceman_rachford(
+            N16, B16, x16, split.StoppingRule(max_iter=30), probe_coords=range(4)),
+        "fb-no-shadows": split.forward_backward(
+            gallery.operator("identity", 1), C, 0.5, [5.0], split.StoppingRule(max_iter=80)),
+        "one-row": split.peaceman_rachford(
+            C, Q, [10.0], split.StoppingRule(divergence_guard=1.0), ref=[0.0],
+            probe_coords=[0]),
+        "past-one-block": split.peaceman_rachford(
+            N1, Z1, [1.5], split.StoppingRule(max_iter=long_steps)),
+        "non-finite": split.IterationTrace(
+            iterates=odd, residuals=np.array([np.nan, -0.0]), termination=split.TERM_DIVERGED,
+            shadows=odd[:, ::-1].copy(), distances_to_ref=np.array([np.inf, 5e-324, -0.0]),
+            probe_coords=(1,)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_csv_cases()))
+@pytest.mark.parametrize(
+    "config", [None, {"algo": "pr", "x0": "1", "seed": 0}], ids=["bare", "config"])
+def test_write_csv_matches_csv_writer_reference(tmp_path, case, config):
+    tr = _csv_cases()[case]
+    if case == "one-row":
+        assert tr.n_steps == 0 and len(tr.residuals) == 0
+    if case == "past-one-block":
+        assert len(tr.iterates) > _block_rows(4) + 1
+    tr.write_csv(tmp_path / "got.csv", config=config)
+    _reference_write_csv(tr, tmp_path / "want.csv", config=config)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _shadow_operators():
+    ops = {}
+    for name in gallery.names():
+        if gallery.entry(name).make_operator is None:
+            continue
+        dim = 8 if gallery.entry(name).parametric_dim else None
+        A = gallery.operator(name, dim)
+        ops[name] = A
+        try:
+            ops[f"0.5*{name}"] = core.scale(A, 0.5)
+        except UnsupportedOperator:
+            pass
+    # scale()'s root-found fallback on an operator that has a closed form too
+    ops["0.5*cubic-rootfound"] = core.scale(
+        dataclasses.replace(gallery.operator("cubic"), scaled_resolvent=None), 0.5)
+    return ops
+
+
+@pytest.mark.parametrize("name", sorted(_shadow_operators()))
+def test_batched_resolvent_matches_per_row_calls(name):
+    # split.iterate evaluates the shadows in one call on the stacked iterates
+    A = _shadow_operators()[name]
+    rng = np.random.default_rng(11)
+    X = rng.choice([-1.0, 1.0], (40, A.dim)) * 10.0 ** rng.uniform(-12.0, 5.0, (40, A.dim))
+    X[0] = 0.0
+    X[1] = -0.0
+    assert _same_bits(A.resolvent(X), np.stack([A.resolvent(x) for x in X]))
+
+
+def test_iterate_shadows_and_residuals_match_per_step_reference():
+    C, Q = gallery.operator("cubic"), gallery.operator("quartic-mixed")
+    N16, B16 = gallery.operator("normal-cone-zero", 16), gallery.operator("shift", 16)
+    runs = [
+        (split.douglas_rachford(C, Q, [7.0], split.StoppingRule(max_iter=60)), C),
+        (split.peaceman_rachford(gallery.operator("clamp-sin-op"), gallery.operator("identity", 1),
+                                 [4.0], split.StoppingRule(max_iter=60)),
+         gallery.operator("clamp-sin-op")),
+        (split.douglas_rachford(gallery.operator("staircase"), gallery.operator("zero", 2),
+                                [3.0, 1.0], split.StoppingRule(max_iter=40)),
+         gallery.operator("staircase")),
+        (split.peaceman_rachford(N16, B16, np.random.default_rng(5).uniform(-1.0, 1.0, 16),
+                                 split.StoppingRule(max_iter=30)), N16),
+    ]
+    for tr, A in runs:
+        assert tr.n_steps >= 2
+        assert _same_bits(tr.shadows, np.stack([A.resolvent(x) for x in tr.iterates]))
+        want = [np.linalg.norm(tr.iterates[n + 1] - tr.iterates[n]) for n in range(tr.n_steps)]
+        assert _same_bits(tr.residuals, np.array(want, dtype=float))
+
+
+def test_divergence_guard_is_the_euclidean_norm():
+    HALF = NonexpansiveMap(2, lambda x: 0.5 * np.asarray(x, float), "half")
+    # |(3, 4)| = 5 exactly: on the guard is not beyond it
+    tr = split.iterate(HALF, [3.0, 4.0], split.StoppingRule(max_iter=3, divergence_guard=5.0))
+    assert tr.termination == split.TERM_MAX_ITER and tr.n_steps == 3
+    tr = split.iterate(HALF, [3.0, 4.0], split.StoppingRule(max_iter=3, divergence_guard=4.999))
+    assert tr.termination == split.TERM_DIVERGED and tr.n_steps == 0
