@@ -17,9 +17,11 @@ re-estimated on rings of radius ``RING_BASE * 2^k`` and a monotone decay of
 the statistic across rings (below ``DECAY_THRESHOLD``) counts as a
 refutation, with the extremal pair of the last ring as witness.
 
-Every sampled certifier runs one engine driven by the class table
-:data:`CLASSES` and returns a :class:`ClassCertificate`; :func:`replay`
-evaluates the same table entry on the stored witness.
+Every sampled certifier, the graph-sample checks (growth, coercivity and
+the reflected-resolvent modulus inequality) included, runs one engine
+driven by the class table :data:`CLASSES` and returns a
+:class:`ClassCertificate`; :func:`replay` evaluates the same table entry on
+the stored witness.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .core import (
     NonexpansiveMap,
     WitnessFamily,
     minty_sample,
-    reflected_map,
 )
 from .exceptions import DomainError, NumericalFailure
 
@@ -69,8 +70,8 @@ SEQ_DECAY_TOL, SEQ_GAP_FLOOR, SEQ_BOUNDED_FACTOR, SEQ_PREMISE_ULPS = 1e-6, 1e-3,
 class SamplerConfig:
     """Seeded sampling plan for pair-based certifiers.
 
-    ``pair_strategy`` lists the strategies to mix (equal shares, remainder
-    to the first).  The batch partition is a pure function of the seed, so
+    Every draw mixes the ``STRATEGIES`` in equal shares, the remainder going
+    to the first.  The batch partition is a pure function of the seed, so
     estimates are bit-identical across runs.
     """
 
@@ -78,7 +79,6 @@ class SamplerConfig:
     sample_count: int
     box_low: np.ndarray
     box_high: np.ndarray
-    pair_strategy: Tuple[str, ...] = STRATEGIES
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.box_low, dtype=float))
@@ -89,24 +89,19 @@ class SamplerConfig:
             raise DomainError("sample_count must be >= 1")
         if lo.shape != hi.shape or not np.all(lo < hi):
             raise DomainError("need box_low < box_high coordinatewise")
-        bad = set(self.pair_strategy) - set(STRATEGIES)
-        if bad or not self.pair_strategy:
-            raise DomainError(f"unknown pair strategies: {sorted(bad)}")
 
     @property
     def dim(self) -> int:
         return self.box_low.size
 
     @staticmethod
-    def symmetric(seed: int, sample_count: int, dim: int, half_width: float,
-                  pair_strategy: Tuple[str, ...] = STRATEGIES) -> "SamplerConfig":
+    def symmetric(seed: int, sample_count: int, dim: int, half_width: float) -> "SamplerConfig":
         w = float(half_width)
         return SamplerConfig(
             seed=seed,
             sample_count=sample_count,
             box_low=np.full(dim, -w),
             box_high=np.full(dim, w),
-            pair_strategy=pair_strategy,
         )
 
     def describe(self) -> dict:
@@ -115,7 +110,7 @@ class SamplerConfig:
             "sample_count": int(self.sample_count),
             "box_low": [float(v) for v in self.box_low],
             "box_high": [float(v) for v in self.box_high],
-            "pair_strategy": list(self.pair_strategy),
+            "pair_strategy": list(STRATEGIES),
         }
 
 
@@ -132,7 +127,7 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
     ``(n, dim)`` each."""
     rng = np.random.default_rng(cfg.seed)
     d = cfg.dim
-    k = len(cfg.pair_strategy)
+    k = len(STRATEGIES)
     counts = [cfg.sample_count // k] * k
     counts[0] += cfg.sample_count - sum(counts)
     if shell_distances is None or len(shell_distances) == 0:
@@ -141,7 +136,7 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
     else:
         ladder = np.asarray(sorted(shell_distances), dtype=float)
     xs, ys = [], []
-    for strat, m in zip(cfg.pair_strategy, counts):
+    for strat, m in zip(STRATEGIES, counts):
         if m <= 0:
             continue
         if strat == "independent":
@@ -302,11 +297,35 @@ def _sigma(x, u, y, v, params):
     return np.sqrt(d2), np.sum(dx * (u - v), axis=1) / d2
 
 
+def _slope(x, u, y, v, params):
+    """``<x-y, u-v> / |x-y|``; against ``(y, v) = (0, 0)`` the coercivity
+    value ``<x, x*> / |x|``."""
+    dx = x - y
+    dist = np.linalg.norm(dx, axis=1)
+    return dist, np.sum(dx * (u - v), axis=1) / dist
+
+
+def _reflected_modulus(x, u, y, v, params):
+    """Violation of ``|x-y|^2 - |Rx-Ry|^2 >= 4 phi(|u-v|)`` on ``u = J x``,
+    ``v = J y`` and ``R = 2 J - Id``, with ``phi = params["phi"]``."""
+    d2 = _sq(x - y)
+    phi = np.asarray(params["phi"](np.linalg.norm(u - v, axis=1)), dtype=float)
+    return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
+
+
+def _flat_envelope(mins, params):
+    """Coercivity is refuted unless the shell minima rise: at least two
+    shells, no drop beyond 1e-12 and the last above the first by 1e-9."""
+    return not (len(mins) >= 2 and np.all(np.diff(mins) >= -1e-12)
+                and mins[-1] > mins[0] + 1e-9)
+
+
 class ClassSpec(NamedTuple):
     """A class table row: ``statistic(x, u, y, v, params)`` gives the
     per-pair ``(distance, value)``, ``extreme`` (``np.argmax`` or
     ``np.argmin``) picks the worst pair and ``refutes(value, params)`` is
-    the refutation threshold."""
+    the refutation threshold (for ``coercive``, on the list of shell
+    minima)."""
 
     statistic: Callable
     extreme: Callable
@@ -322,6 +341,8 @@ CLASSES = {
     "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS),
     "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT),
     "growth-condition": ClassSpec(_ratio, np.argmin, lambda v, p: v <= 1e-6),
+    "coercive": ClassSpec(_slope, np.argmin, _flat_envelope),
+    "reflected-modulus": ClassSpec(_reflected_modulus, np.argmax, lambda v, p: v > TOL_CERT),
 }
 
 
@@ -415,14 +436,15 @@ def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: 
     )
 
 
-def _judge(name: str, batch: _Batch, cfg: SamplerConfig, params: dict, probe: float,
+def _judge(name: str, batch: _Batch, seed: int, samples: int, params: dict, probe: float,
            select=None):
-    """Certificate of a class from the worst pair of one measured batch."""
+    """Certificate of a class from the worst pair of one measured batch;
+    ``seed`` and ``samples`` record the draw the pairs came from."""
     worst = _extreme(name, [batch], select)
     vacuous = worst.value is None
     return _certificate(
         name, params, [{"probe": probe, "value": worst.value}],
-        not vacuous and CLASSES[name].refutes(worst.value, params), cfg.seed, cfg.sample_count,
+        not vacuous and CLASSES[name].refutes(worst.value, params), seed, samples,
         worst, notes="vacuous: no sampled pair has x != y" if vacuous else "",
     )
 
@@ -431,7 +453,8 @@ def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
     """Certificate of a class from one batch of sampled pairs."""
     X, Y = pair_batches(cfg)
     batch = _measure(name, _lift(target)(X, Y), isinstance(target, MonotoneOperator), params)
-    return _judge(name, batch, cfg, {**params, "sampler": cfg.describe()}, probe)
+    return _judge(name, batch, cfg.seed, cfg.sample_count,
+                  {**params, "sampler": cfg.describe()}, probe)
 
 
 def _ring_probe(name: str, rings, floor: float, decaying=float):
@@ -530,13 +553,12 @@ class Modulus:
     """A modulus function, as a closed form or an empirical lower-bound table.
 
     ``table`` rows are ``(t, phi_hat(t))`` with ``phi_hat`` the binned
-    infimum of graph products; ``value`` evaluates the closed form or the
-    step interpolation, raised to the supercoercive quadratic bound when one
-    has been attached by :func:`tighten_modulus`.
+    infimum of graph products; ``value`` evaluates the closed form when one
+    is set and the step interpolation of the table otherwise, raised to the
+    supercoercive quadratic bound when one has been attached by
+    :func:`tighten_modulus`.
     """
 
-    kind: str
-    label: str = ""
     closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
@@ -545,7 +567,7 @@ class Modulus:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "closed-form":
+        if self.closed_form is not None:
             base = np.asarray(self.closed_form(t), dtype=float)
         else:
             knots = np.array([row[0] for row in self.table])
@@ -638,7 +660,6 @@ def scaled_pair_family(direction, gap, name: str = "scaled-pair",
     return WitnessFamily(
         name=name,
         generator=gen,
-        expected_behavior="constant displacement at geometrically growing scale",
         n_cap=n_cap,
     )
 
@@ -743,48 +764,23 @@ def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
 
 
 # ---------------------------------------------------------------------------
-# Graph-sample reports: growth condition, coercivity, modulus inequality
+# Graph-sample checks: growth condition, coercivity, modulus inequality
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(a):
-    # batched graph arrays are (n, d); a 1-D array is a batch of scalars
-    a = np.asarray(a, dtype=float)
-    return a.reshape(-1, 1) if a.ndim <= 1 else a
-
-
-def _stack(samples):
-    """``(X, X*)`` rows of a batched GraphSample or of a sequence of graph
-    points."""
-    if isinstance(samples, GraphSample):
-        return _as_rows(samples.x), _as_rows(samples.xstar)
-    rows = list(samples)
-    return (np.stack([np.atleast_1d(np.asarray(s.x, float)) for s in rows]),
-            np.stack([np.atleast_1d(np.asarray(s.xstar, float)) for s in rows]))
-
-
-def _stack_graph_pairs(pairs):
-    """``(X, X*, Y, Y*)`` of two batched GraphSamples or of a sequence of
-    graph-point pairs."""
-    if isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], GraphSample):
-        first, second = pairs
-    else:
-        first, second = zip(*pairs)
-    return (*_stack(first), *_stack(second))
-
-
-@dataclass
-class GrowthReport:
-    """Ratio ``|x*-y*| / |x-y|`` tabulated against the separation."""
-
-    distances: np.ndarray
-    ratios: np.ndarray
-    top_decile_inf: Optional[float]
-
-    @property
-    def growth_holds(self) -> bool:
-        return self.top_decile_inf is None or not CLASSES["growth-condition"].refutes(
-            self.top_decile_inf, {})
+def _graph_rows(graph, pairs: bool) -> tuple:
+    """The ``(n, dim)`` rows ``(X, X*)`` of graph points, or ``(X, X*, Y, Y*)``
+    of graph-point pairs when ``pairs``.  ``graph`` is batched (a
+    GraphSample; for pairs, a tuple of two) or a sequence of single points
+    (for pairs, of ``(first, second)`` tuples)."""
+    batches = graph if pairs else (graph,)
+    if isinstance(batches, tuple) and all(isinstance(b, GraphSample) for b in batches):
+        # a 1-D batch array is a batch of scalars
+        arrays = [np.asarray(a, dtype=float) for b in batches for a in b]
+        return tuple(a.reshape(-1, 1) if a.ndim <= 1 else a for a in arrays)
+    rows = [(*g[0], *g[1]) if pairs else g for g in graph]
+    return tuple(np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in col])
+                 for col in zip(*rows))
 
 
 def _top_decile(dist):
@@ -794,50 +790,37 @@ def _top_decile(dist):
     return mask
 
 
-def check_growth(pairs) -> GrowthReport:
-    """Growth-condition probe on graph-sample pairs; the infimum over the
-    largest-separation decile proxies the liminf at infinity.  Pairs that
-    all have ``x = y`` hold it vacuously: ``top_decile_inf`` is ``None``."""
-    b = _measure("growth-condition", _stack_graph_pairs(pairs), True)
-    top = _extreme("growth-condition", [b], _top_decile)
-    return GrowthReport(distances=b.dist, ratios=b.value, top_decile_inf=top.value)
+def check_growth(pairs, *, seed: int = 0, sample_count: int = 0) -> ClassCertificate:
+    """Growth-condition certificate of graph-point pairs: the smallest ratio
+    ``|x*-y*| / |x-y|`` over the largest-separation decile proxies the
+    liminf at infinity.  Pairs that all have ``x = y`` hold it vacuously.
+    ``seed`` and ``sample_count`` record the draw the pairs came from."""
+    name = "growth-condition"
+    batch = _measure(name, _graph_rows(pairs, True), True)
+    return _judge(name, batch, seed, sample_count, {}, 0.9, _top_decile)
 
 
-@dataclass
-class CoerciveReport:
-    """Values ``<x, x*>/|x|`` binned by ``|x|``; coercivity shows as an
-    increasing lower envelope."""
-
-    shell_edges: np.ndarray
-    shell_mins: np.ndarray
-    increasing: bool
-
-
-def check_coercive(samples) -> CoerciveReport:
-    """Coercivity probe; a graph with every sample at ``x = 0`` has no
-    shells (empty edges and minima)."""
-    X, XS = _stack(samples)
-    nrm = np.linalg.norm(X, axis=1)
-    keep = nrm > 0
-    val = np.sum(X[keep] * XS[keep], axis=1) / nrm[keep]
-    if not (np.all(np.isfinite(nrm)) and np.all(np.isfinite(val))):
-        raise NumericalFailure("non-finite coercivity value on the graph samples")
-    if val.size == 0:
-        return CoerciveReport(shell_edges=np.empty(0), shell_mins=np.empty(0), increasing=False)
-    nrm = nrm[keep]
-    edges = np.quantile(nrm, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
-    mins = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (nrm >= lo) & (nrm <= hi)
-        mins.append(float(np.min(val[sel])) if np.any(sel) else np.nan)
-    mins = np.array(mins)
-    seq = mins[np.isfinite(mins)]
-    increasing = bool(
-        len(seq) >= 2
-        and np.all(np.diff(seq) >= -1e-12)
-        and seq[-1] > seq[0] + 1e-9
+def check_coercive(samples, *, seed: int = 0, sample_count: int = 0) -> ClassCertificate:
+    """Coercivity certificate of graph points: the minima of ``<x, x*>/|x|``
+    over ``COERCIVE_SHELLS`` quantile shells of ``|x|``, keyed by each
+    shell's outer edge, must rise.  Points at ``x = 0`` are dropped; a graph
+    with every point there is vacuous.  ``seed`` and ``sample_count``
+    record the draw the points came from."""
+    name = "coercive"
+    X, XS = _graph_rows(samples, False)
+    origin = np.zeros_like(X)
+    batch = _measure(name, (X, XS, origin, origin), True)
+    if batch.dist.size == 0:
+        return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, seed,
+                            sample_count, notes="vacuous: every sampled x is 0")
+    edges = np.quantile(batch.dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
+    shells = [_extreme(name, [batch], lambda d, lo=lo, hi=hi: (d >= lo) & (d <= hi))
+              for lo, hi in zip(edges, edges[1:])]
+    return _certificate(
+        name, {}, [{"probe": float(hi), "value": e.value} for hi, e in zip(edges[1:], shells)],
+        CLASSES[name].refutes([e.value for e in shells if e.value is not None], {}),
+        seed, sample_count,
     )
-    return CoerciveReport(shell_edges=edges, shell_mins=mins, increasing=increasing)
 
 
 def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
@@ -845,52 +828,34 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
 
     ``target`` is an operator, whose graph is sampled through its resolvent
     from ``cfg``, or an explicit witness generator ``n -> (first, second)``
-    of graph-point pairs, probed at ``n = 1..200``.
+    of graph-point pairs, probed at ``n = 1..200``.  Coercivity reads both
+    points of every pair.
     """
     if isinstance(target, MonotoneOperator):
         Z1, Z2 = pair_batches(cfg)
         pairs = (minty_sample(target, Z1), minty_sample(target, Z2))
     else:
         pairs = [target(n) for n in range(1, 201)]
-    X, XS, Y, YS = _stack_graph_pairs(pairs)
+    drawn = {"seed": cfg.seed, "sample_count": cfg.sample_count}
     if name == "growth-condition":
-        return _judge(name, _measure(name, (X, XS, Y, YS), True), cfg, {}, 0.9, _top_decile)
-    rep = check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])))
-    estimates = [
-        {"probe": float(e), "value": (None if not np.isfinite(v) else float(v))}
-        for e, v in zip(rep.shell_edges[1:], rep.shell_mins)
-    ]
-    if not estimates:  # no shells: a vacuous probe
-        return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, cfg.seed,
-                            cfg.sample_count, notes="vacuous: every sampled x is 0")
-    return _certificate(name, {}, estimates, not rep.increasing, cfg.seed, cfg.sample_count)
+        return check_growth(pairs, **drawn)
+    X, XS, Y, YS = _graph_rows(pairs, True)
+    return check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])), **drawn)
 
 
-@dataclass
-class LemmaReport:
+def check_lemma_3_5(A: MonotoneOperator, phi, cfg: SamplerConfig) -> ClassCertificate:
     """Sampled check of the reflected-resolvent modulus inequality
-    ``|x-y|^2 - |Rx-Ry|^2 >= 4 phi(|Jx-Jy|)``."""
-
-    max_violation: float
-    pairs_checked: int
-    witness: Optional[list]
-
-
-def check_lemma_3_5(A: MonotoneOperator, phi, cfg: SamplerConfig) -> LemmaReport:
-    phi_fn = phi.value if isinstance(phi, Modulus) else phi
+    ``|x-y|^2 - |R_A x - R_A y|^2 >= 4 phi(|J_A x - J_A y|)``, ``phi`` a
+    :class:`Modulus` or a vectorized function.  The estimate is the largest
+    violation, and a refutation's witness is its pair ``(x, y)``.  ``phi``
+    stays out of the certificate, which must encode as JSON, so the witness
+    replays through ``CLASSES["reflected-modulus"].statistic`` with
+    ``{"phi": phi}`` rather than :func:`replay`."""
+    name = "reflected-modulus"
     X, Y = pair_batches(cfg)
-    JX, JY = A.resolvent(X), A.resolvent(Y)
-    RX, RY = 2.0 * JX - X, 2.0 * JY - Y
-    lhs = np.sum((X - Y) ** 2, axis=1) - np.sum((RX - RY) ** 2, axis=1)
-    rhs = 4.0 * np.asarray(phi_fn(np.linalg.norm(JX - JY, axis=1)), dtype=float)
-    viol = rhs - lhs
-    i = int(np.argmax(viol))
-    worst = float(viol[i])
-    return LemmaReport(
-        max_violation=worst,
-        pairs_checked=len(viol),
-        witness=_points(X[i], Y[i]) if worst > TOL_CERT else None,
-    )
+    params = {"phi": phi.value if isinstance(phi, Modulus) else phi}
+    batch = _measure(name, (X, A.resolvent(X), Y, A.resolvent(Y)), False, params)
+    return _judge(name, batch, cfg.seed, cfg.sample_count, {"sampler": cfg.describe()}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -934,24 +899,26 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
     certifier on the reflected resolvent, and compare the verdict pattern
     against the self-duality equivalence.
 
-    The three probes share one draw when ``eps_list`` and ``t_list`` hold
-    the same values, and ``J_A`` runs once per drawn point: ``A^{-1}``'s
-    graph and ``R_A`` follow from it as ``Id - J_A`` and ``2 J_A - Id``.
+    ``J_A`` runs once per drawn point: ``A^{-1}``'s graph and ``R_A`` follow
+    from it as ``Id - J_A`` and ``2 J_A - Id``.  The three probes share one
+    draw when ``eps_list`` and ``t_list`` hold the same values; otherwise the
+    CLD probe draws its own pairs at the ``eps`` shells.
     """
     knots, eps = _knots(t_list, "t_list"), _knots(eps_list, "eps_list")
-    draw = _draw(cfg, knots, lambda x, y: (x, y, minty_sample(A, x), minty_sample(A, y)))
 
-    def lifted(arrays):  # lazily, so a map probe drops each batch's values once measured
+    def graph(x, y):
+        return x, y, minty_sample(A, x), minty_sample(A, y)
+
+    def lifted(draw, arrays):  # lazily, so a map probe drops each batch's values once measured
         return ((r, None if d is None else arrays(*d)) for r, d in draw)
 
-    m1 = _modulus(lifted(lambda x, y, g, h: (*g, *h)), knots, cfg)
+    draw = _draw(cfg, knots, graph)
+    m1 = _modulus(lifted(draw, lambda x, y, g, h: (*g, *h)), knots, cfg)
     # A^-1's graph and R_A by the expressions of invert() and reflected_map()
-    m2 = _modulus(lifted(lambda x, y, g, h: (g.xstar, x - g.xstar, h.xstar, y - h.xstar)),
+    m2 = _modulus(lifted(draw, lambda x, y, g, h: (g.xstar, x - g.xstar, h.xstar, y - h.xstar)),
                   knots, cfg)
-    if eps == knots:
-        c3 = _cld(lifted(lambda x, y, g, h: (x, 2.0 * g.x - x, y, 2.0 * h.x - y)), eps, cfg)
-    else:
-        c3 = certify_cld(reflected_map(A), eps, cfg)
+    c3 = _cld(lifted(draw if eps == knots else _draw(cfg, eps, graph),
+                     lambda x, y, g, h: (x, 2.0 * g.x - x, y, 2.0 * h.x - y)), eps, cfg)
     verdicts = (m1.verdict, m2.verdict, c3.verdict)
     agrees = (verdicts[:2] == (CONSISTENT, CONSISTENT)) == (c3.verdict == CONSISTENT)
     return SelfDualReport(

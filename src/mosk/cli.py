@@ -27,7 +27,13 @@ from . import gallery, split
 # minty_sample is not used here; it stays importable as cli.minty_sample
 # because tools that trace the library patch it on this module by name
 from .core import minty_sample, resolvent_map, reflected_map  # noqa: F401
-from .exceptions import DomainError, MoskError, StepSizeOutOfRange, UnsupportedOperator
+from .exceptions import (
+    DimensionMismatch,
+    DomainError,
+    MoskError,
+    StepSizeOutOfRange,
+    UnsupportedOperator,
+)
 from .gallery import cone_subdiff_witnesses, staircase_witnesses
 
 EXIT_OK = 0
@@ -374,8 +380,9 @@ def main(argv=None) -> int:
         # so that the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (StepSizeOutOfRange, UnsupportedOperator, DomainError) as exc:
-        # configuration-level failures are usage errors
+    except (StepSizeOutOfRange, UnsupportedOperator, DomainError, DimensionMismatch) as exc:
+        # configuration-level failures, such as two operators of different
+        # dimensions, are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MoskError as exc:

@@ -110,7 +110,6 @@ class WitnessFamily:
 
     name: str
     generator: Callable[[int], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    expected_behavior: str = ""
     n_cap: int = 60
 
 

@@ -547,7 +547,6 @@ def staircase_witness_family(params: Optional[StaircaseParams] = None) -> Witnes
     return WitnessFamily(
         name="staircase-ssne",
         generator=gen,
-        expected_behavior="squared-norm gap 4^{-n} -> 0 while displacement gap -> (0,-1)",
         n_cap=p.cap,
     )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mosk import certify as cert
-from mosk import gallery
+from mosk import core, gallery
 from mosk.cli import main
 
 
@@ -201,12 +201,17 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     # a negative probe count would silently record no probes
     assert main(["split", "--algo", "pr", "--opA", "zero", "--opB", "zero", "--x0", "1",
                  "--probes", "-3"]) == 1
+    # two operators of different dimensions
+    assert main(["split", "--algo", "dr", "--opA", "staircase", "--opB", "zero",
+                 "--x0", "3,1"]) == 1
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
     assert "error: argument --class" in err and err.count("error: argument --box") == 2
     assert "error: argument --t" in err and "error: --probes must be >= 0" in err
     assert "error: MOSK_SEED" in err and "Traceback" not in err
+    assert "error: operators live in different dimensions" in err
+    assert "numerical failure" not in err
 
 
 @pytest.mark.parametrize("dim", ["-1", "0"])
@@ -347,6 +352,32 @@ def test_estimate_modulus_is_the_cli_certificate(tmp_path):
     assert isinstance(est, cert.ClassCertificate)
     # the file holds the JSON encoding, so compare through it
     expected = json.loads(json.dumps(est.to_json_dict()))
+    assert json.loads(out.read_text())["certificate"] == expected
+
+
+@pytest.mark.parametrize("op", ["quartic-mixed", "cone-subdiff"])
+@pytest.mark.parametrize("klass", ["coercive", "growth-condition"])
+def test_graph_checks_are_the_cli_certificates(op, klass, tmp_path):
+    out = tmp_path / "graph.json"
+    argv = ["certify", "--op", op, "--class", klass, "--samples", "3000", "--seed", "5",
+            "--box=-4,4", "--out", str(out)]
+    code = main(argv)
+    if op == "cone-subdiff":  # no operator: its witness pairs at n = 1..200
+        pairs = [gallery.cone_subdiff_witnesses(n) for n in range(1, 201)]
+        points = [first for first, _ in pairs] + [second for _, second in pairs]
+    else:
+        cfg = cert.SamplerConfig(seed=5, sample_count=3000, box_low=[-4.0], box_high=[4.0])
+        A = gallery.operator(op)
+        pairs = tuple(core.minty_sample(A, Z) for Z in cert.pair_batches(cfg))
+        points = core.GraphSample(*(np.concatenate(a) for a in zip(*pairs)))
+    drawn = {"seed": 5, "sample_count": 3000}
+    if klass == "coercive":
+        expected = cert.check_coercive(points, **drawn)
+    else:
+        expected = cert.check_growth(pairs, **drawn)
+    assert code == (2 if expected.verdict == cert.REFUTED else 0)
+    # the file holds the JSON encoding, so compare through it
+    expected = json.loads(json.dumps(expected.to_json_dict()))
     assert json.loads(out.read_text())["certificate"] == expected
 
 
