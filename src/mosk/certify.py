@@ -21,7 +21,9 @@ Every sampled certifier, the graph-sample checks (growth, coercivity and
 the reflected-resolvent modulus inequality) included, runs one engine
 driven by the class table :data:`CLASSES` and returns a
 :class:`ClassCertificate`; :func:`replay` evaluates the same table entry on
-the stored witness.
+the stored witness.  The one exception is ``reflected-modulus``, whose
+certificate does not hold its ``phi``: its witness replays through
+``CLASSES["reflected-modulus"].statistic`` with ``{"phi": phi}``.
 """
 
 from __future__ import annotations
@@ -313,23 +315,15 @@ def _reflected_modulus(x, u, y, v, params):
     return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
 
 
-def _flat_envelope(mins, params):
-    """Coercivity is refuted unless the shell minima rise: at least two
-    shells, no drop beyond 1e-12 and the last above the first by 1e-9."""
-    return not (len(mins) >= 2 and np.all(np.diff(mins) >= -1e-12)
-                and mins[-1] > mins[0] + 1e-9)
-
-
 class ClassSpec(NamedTuple):
     """A class table row: ``statistic(x, u, y, v, params)`` gives the
     per-pair ``(distance, value)``, ``extreme`` (``np.argmax`` or
     ``np.argmin``) picks the worst pair and ``refutes(value, params)`` is
-    the refutation threshold (for ``coercive``, on the list of shell
-    minima)."""
+    the refutation threshold of a worst value, where the class has one."""
 
     statistic: Callable
     extreme: Callable
-    refutes: Callable
+    refutes: Optional[Callable]
 
 
 CLASSES = {
@@ -341,7 +335,8 @@ CLASSES = {
     "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS),
     "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT),
     "growth-condition": ClassSpec(_ratio, np.argmin, lambda v, p: v <= 1e-6),
-    "coercive": ClassSpec(_slope, np.argmin, _flat_envelope),
+    # no one-value threshold: only check_coercive judges this row
+    "coercive": ClassSpec(_slope, np.argmin, None),
     "reflected-modulus": ClassSpec(_reflected_modulus, np.argmax, lambda v, p: v > TOL_CERT),
 }
 
@@ -768,19 +763,23 @@ def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
 # ---------------------------------------------------------------------------
 
 
-def _graph_rows(graph, pairs: bool) -> tuple:
-    """The ``(n, dim)`` rows ``(X, X*)`` of graph points, or ``(X, X*, Y, Y*)``
-    of graph-point pairs when ``pairs``.  ``graph`` is batched (a
-    GraphSample; for pairs, a tuple of two) or a sequence of single points
-    (for pairs, of ``(first, second)`` tuples)."""
-    batches = graph if pairs else (graph,)
-    if isinstance(batches, tuple) and all(isinstance(b, GraphSample) for b in batches):
+def _rows(points) -> tuple:
+    """The ``(n, dim)`` rows ``(X, X*)`` of a batched GraphSample or of a
+    sequence of single graph points."""
+    if isinstance(points, GraphSample):
         # a 1-D batch array is a batch of scalars
-        arrays = [np.asarray(a, dtype=float) for b in batches for a in b]
+        arrays = (np.asarray(a, dtype=float) for a in points)
         return tuple(a.reshape(-1, 1) if a.ndim <= 1 else a for a in arrays)
-    rows = [(*g[0], *g[1]) if pairs else g for g in graph]
     return tuple(np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in col])
-                 for col in zip(*rows))
+                 for col in zip(*points))
+
+
+def _pair_rows(pairs) -> tuple:
+    """``(X, X*, Y, Y*)`` of two batched GraphSamples or of a sequence of
+    graph-point pairs ``(first, second)``."""
+    batched = isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], GraphSample)
+    first, second = pairs if batched else zip(*pairs)
+    return (*_rows(first), *_rows(second))
 
 
 def _top_decile(dist):
@@ -790,36 +789,41 @@ def _top_decile(dist):
     return mask
 
 
-def check_growth(pairs, *, seed: int = 0, sample_count: int = 0) -> ClassCertificate:
+def check_growth(pairs) -> ClassCertificate:
     """Growth-condition certificate of graph-point pairs: the smallest ratio
     ``|x*-y*| / |x-y|`` over the largest-separation decile proxies the
     liminf at infinity.  Pairs that all have ``x = y`` hold it vacuously.
-    ``seed`` and ``sample_count`` record the draw the pairs came from."""
+    The certificate's seed and sample count are 0: the pairs come as given."""
     name = "growth-condition"
-    batch = _measure(name, _graph_rows(pairs, True), True)
-    return _judge(name, batch, seed, sample_count, {}, 0.9, _top_decile)
+    return _judge(name, _measure(name, _pair_rows(pairs), True), 0, 0, {}, 0.9, _top_decile)
 
 
-def check_coercive(samples, *, seed: int = 0, sample_count: int = 0) -> ClassCertificate:
+def _flat_envelope(mins) -> bool:
+    """Coercivity is refuted unless the shell minima rise: at least two
+    shells, no drop beyond 1e-12 and the last above the first by 1e-9."""
+    return not (len(mins) >= 2 and np.all(np.diff(mins) >= -1e-12)
+                and mins[-1] > mins[0] + 1e-9)
+
+
+def check_coercive(samples) -> ClassCertificate:
     """Coercivity certificate of graph points: the minima of ``<x, x*>/|x|``
     over ``COERCIVE_SHELLS`` quantile shells of ``|x|``, keyed by each
     shell's outer edge, must rise.  Points at ``x = 0`` are dropped; a graph
-    with every point there is vacuous.  ``seed`` and ``sample_count``
-    record the draw the points came from."""
+    with every point there is vacuous.  The certificate's seed and sample
+    count are 0: the points come as given."""
     name = "coercive"
-    X, XS = _graph_rows(samples, False)
+    X, XS = _rows(samples)
     origin = np.zeros_like(X)
     batch = _measure(name, (X, XS, origin, origin), True)
-    if batch.dist.size == 0:
-        return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, seed,
-                            sample_count, notes="vacuous: every sampled x is 0")
+    if batch.dist.size == 0:  # _judge's vacuous case, with a note in coercivity's terms
+        return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, 0, 0,
+                            notes="vacuous: every sampled x is 0")
     edges = np.quantile(batch.dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
     shells = [_extreme(name, [batch], lambda d, lo=lo, hi=hi: (d >= lo) & (d <= hi))
               for lo, hi in zip(edges, edges[1:])]
     return _certificate(
         name, {}, [{"probe": float(hi), "value": e.value} for hi, e in zip(edges[1:], shells)],
-        CLASSES[name].refutes([e.value for e in shells if e.value is not None], {}),
-        seed, sample_count,
+        _flat_envelope([e.value for e in shells if e.value is not None]), 0, 0,
     )
 
 
@@ -836,11 +840,12 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
         pairs = (minty_sample(target, Z1), minty_sample(target, Z2))
     else:
         pairs = [target(n) for n in range(1, 201)]
-    drawn = {"seed": cfg.seed, "sample_count": cfg.sample_count}
     if name == "growth-condition":
-        return check_growth(pairs, **drawn)
-    X, XS, Y, YS = _graph_rows(pairs, True)
-    return check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])), **drawn)
+        cert = check_growth(pairs)
+    else:
+        X, XS, Y, YS = _pair_rows(pairs)
+        cert = check_coercive(GraphSample(np.concatenate([X, Y]), np.concatenate([XS, YS])))
+    return replace(cert, seed=cfg.seed, sample_count=cfg.sample_count)
 
 
 def check_lemma_3_5(A: MonotoneOperator, phi, cfg: SamplerConfig) -> ClassCertificate:
@@ -850,7 +855,7 @@ def check_lemma_3_5(A: MonotoneOperator, phi, cfg: SamplerConfig) -> ClassCertif
     violation, and a refutation's witness is its pair ``(x, y)``.  ``phi``
     stays out of the certificate, which must encode as JSON, so the witness
     replays through ``CLASSES["reflected-modulus"].statistic`` with
-    ``{"phi": phi}`` rather than :func:`replay`."""
+    ``{"phi": phi}``; :func:`replay` refuses it."""
     name = "reflected-modulus"
     X, Y = pair_batches(cfg)
     params = {"phi": phi.value if isinstance(phi, Modulus) else phi}
@@ -958,7 +963,9 @@ def replay(cert: ClassCertificate, target=None) -> float:
 
     The class table's statistic runs on the witness as a one-row batch.
     ``target`` is the map of a two-point witness ``(x, y)``; a four-point
-    witness ``(x, x*, y, y*)`` carries both graph points and needs none.
+    witness ``(x, x*, y, y*)`` carries both graph points and needs none.  A
+    class whose statistic needs a parameter the certificate does not hold
+    (``reflected-modulus``: ``phi``) raises :class:`DomainError`.
     """
     if cert.witness is None:
         raise DomainError("certificate has no witness to replay")
@@ -969,4 +976,8 @@ def replay(cert: ClassCertificate, target=None) -> float:
     if len(pts) == 2:
         x, y = pts
         pts = (x, target(x), y, target(y))
-    return float(spec.statistic(*pts, cert.params)[1][0])
+    try:
+        return float(spec.statistic(*pts, cert.params)[1][0])
+    except KeyError as missing:
+        raise DomainError(f"the {cert.class_name!r} certificate does not hold the "
+                          f"parameter {missing} its statistic needs") from None

@@ -372,6 +372,15 @@ def test_check_lemma_3_5_witness_is_the_statistic():
     assert value[0] == rep.witness_value == rep.estimates[0]["value"]
 
 
+def test_replay_refuses_reflected_modulus():
+    # phi is not in the certificate, so replay cannot evaluate the statistic
+    S = gallery.operator("rotator")
+    rep = certify.check_lemma_3_5(S, lambda t: t * t, cfg2(n=5_000, width=10.0))
+    assert rep.witness is not None
+    with pytest.raises(DomainError, match="phi"):
+        certify.replay(rep, S.resolvent)
+
+
 def test_check_lemma_3_5_fails_closed():
     # squares of |x - y| overflow on this box: no certificate, not nan
     phi = certify.Modulus(closed_form=lambda t: 0.25 * t**4)
