@@ -32,12 +32,13 @@ for n in (1, 2, 5, 10, 20, 30):
     print(f"  {n:>3} {d:>14.6e} {4.0**(-n):>14.6e} {g:>12.9f}")
 
 print("\nsequential probe (ssne mode): premise d_n vanishes, gap persists")
+OBSERVED = ("premise_tail_max", "gap_tail_min", "final_separation")
 T = gallery.mapping("staircase")
 rep = certify.check_sequential(T, gallery.witnesses("staircase"), "ssne", 30)
-print(f"  refuted: {rep.refuted}")
-print(f"  observed: {rep.observed}")
+print(f"  verdict: {rep.verdict}")
+print(f"  observed: { {k: rep.params[k] for k in OBSERVED} }")
 
 print("\nsame probe in sne mode: the separations are unbounded, so this")
 print("family cannot refute strong nonexpansiveness (and indeed the map is SNE):")
 rep = certify.check_sequential(T, gallery.witnesses("staircase"), "sne", 30)
-print(f"  refuted: {rep.refuted} (bounded separations: {rep.bounded})")
+print(f"  verdict: {rep.verdict} (bounded separations: {rep.params['bounded']})")

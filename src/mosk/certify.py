@@ -17,13 +17,13 @@ re-estimated on rings of radius ``RING_BASE * 2^k`` and a monotone decay of
 the statistic across rings (below ``DECAY_THRESHOLD``) counts as a
 refutation, with the extremal pair of the last ring as witness.
 
-Every sampled certifier, the graph-sample checks (growth, coercivity and
-the reflected-resolvent modulus inequality) included, runs one engine
-driven by the class table :data:`CLASSES` and returns a
-:class:`ClassCertificate`; :func:`replay` evaluates the same table entry on
-the stored witness.  The one exception is ``reflected-modulus``, whose
-certificate does not hold its ``phi``: its witness replays through
-``CLASSES["reflected-modulus"].statistic`` with ``{"phi": phi}``.
+The class table :data:`CLASSES` is the one class-name dispatch, for the
+library, the CLI and :func:`replay`.  Every check returns a
+:class:`ClassCertificate` whose refutation carries a witness, on which
+:func:`replay` evaluates the row's statistic.  The one exception is
+``reflected-modulus``, whose certificate does not hold its ``phi``: its
+witness replays through ``CLASSES["reflected-modulus"].statistic`` with
+``{"phi": phi}``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ class SamplerConfig:
             raise DomainError("sample_count must be >= 1")
         if lo.shape != hi.shape or not np.all(lo < hi):
             raise DomainError("need box_low < box_high coordinatewise")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise DomainError("need finite box bounds with a finite width")
 
     @property
     def dim(self) -> int:
@@ -190,8 +193,8 @@ def _draw(cfg: SamplerConfig, knots, lift, ring_samples=RING_SAMPLES):
 
 def _knots(values, label: str) -> list:
     knots = sorted(float(v) for v in values)
-    if not knots or knots[0] <= 0:
-        raise DomainError(f"{label} must be positive")
+    if not knots or not all(0.0 < k < np.inf for k in knots):  # NaN fails too
+        raise DomainError(f"{label} must be positive and finite")
     return knots
 
 
@@ -315,28 +318,63 @@ def _reflected_modulus(x, u, y, v, params):
     return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
 
 
+def _sne(x, u, y, v, params):
+    """The strong-nonexpansiveness premise ``|x-y| - |u-v|``, ``u = Tx``."""
+    b = np.linalg.norm(x - y, axis=1)
+    return b, b - np.linalg.norm(u - v, axis=1)
+
+
+def _ssne(x, u, y, v, params):
+    """The super-strong premise ``|x-y|^2 - |u-v|^2``, ``u = Tx``."""
+    b, tb = np.linalg.norm(x - y, axis=1), np.linalg.norm(u - v, axis=1)
+    return b, b * b - tb * tb
+
+
 class ClassSpec(NamedTuple):
     """A class table row: ``statistic(x, u, y, v, params)`` gives the
     per-pair ``(distance, value)``, ``extreme`` (``np.argmax`` or
     ``np.argmin``) picks the worst pair and ``refutes(value, params)`` is
-    the refutation threshold of a worst value, where the class has one."""
+    the refutation threshold of a worst value, where the class has one.
+    ``run(target, cfg, *, alpha, t, eps, families)`` runs the certifier on a
+    ``target`` of the named kind (``map``, ``resolvent``, ``operator`` or
+    ``graph``), looked up by name at the call, so patches of it apply."""
 
     statistic: Callable
-    extreme: Callable
+    extreme: Optional[Callable]
     refutes: Optional[Callable]
+    target: Optional[str] = None
+    run: Optional[Callable] = None
 
 
+# the rows with a runner, in this order, are the CLI's --class values
 CLASSES = {
-    "nonexpansive": ClassSpec(_ratio, np.argmax, lambda v, p: v > 1.0 + TOL_CERT),
-    "banach-contraction": ClassSpec(_ratio, np.argmax, lambda v, p: v >= 1.0 - p["margin"]),
-    "contraction-large-distances": ClassSpec(_ratio, np.argmax, lambda v, p: v >= 1.0 - TOL_CERT),
-    "firmly-nonexpansive": ClassSpec(_firm, np.argmax, lambda v, p: v > TOL_CERT),
-    "averaged": ClassSpec(_averaged, np.argmax, lambda v, p: v > TOL_CERT),
-    "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS),
-    "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT),
-    "growth-condition": ClassSpec(_ratio, np.argmin, lambda v, p: v <= 1e-6),
-    # no one-value threshold: only check_coercive judges this row
-    "coercive": ClassSpec(_slope, np.argmin, None),
+    "nonexpansive": ClassSpec(_ratio, np.argmax, lambda v, p: v > 1.0 + TOL_CERT, "map",
+                              lambda T, cfg, **_: certify_lipschitz(T, cfg)),
+    "banach-contraction": ClassSpec(_ratio, np.argmax, lambda v, p: v >= 1.0 - p["margin"], "map",
+                                    lambda T, cfg, **_: certify_banach_contraction(T, cfg)),
+    "firmly-nonexpansive": ClassSpec(_firm, np.argmax, lambda v, p: v > TOL_CERT, "resolvent",
+                                     lambda F, cfg, **_: certify_firm(F, cfg)),
+    "averaged": ClassSpec(_averaged, np.argmax, lambda v, p: v > TOL_CERT, "map",
+                          lambda T, cfg, *, alpha, **_: certify_averaged(T, alpha, cfg)),
+    "contraction-large-distances": ClassSpec(
+        _ratio, np.argmax, lambda v, p: v >= 1.0 - TOL_CERT, "map",
+        lambda T, cfg, *, eps, **_: certify_cld(T, eps, cfg)),
+    "uniformly-monotone": ClassSpec(_product, np.argmin, lambda v, p: v <= TOL_POS, "operator",
+                                    lambda A, cfg, *, t, **_: estimate_modulus(A, t, cfg)),
+    "strongly-monotone": ClassSpec(_sigma, np.argmin, lambda v, p: v <= TOL_CERT, "operator",
+                                   lambda A, cfg, **_: certify_strongly_monotone(A, cfg)),
+    # no worst pair and no threshold: only check_sequential's tail test judges
+    "strongly-nonexpansive": ClassSpec(
+        _sne, None, None, "map", lambda T, cfg, *, families, **_:
+        certify_sequential(T, "strongly-nonexpansive", cfg, families)),
+    "super-strongly-nonexpansive": ClassSpec(
+        _ssne, None, None, "map", lambda T, cfg, *, families, **_:
+        certify_sequential(T, "super-strongly-nonexpansive", cfg, families)),
+    "coercive": ClassSpec(_slope, np.argmin, None, "graph",
+                          lambda G, cfg, **_: certify_graph(G, "coercive", cfg)),
+    "growth-condition": ClassSpec(_ratio, np.argmin, lambda v, p: v <= 1e-6, "graph",
+                                  lambda G, cfg, **_: certify_graph(G, "growth-condition", cfg)),
+    # no runner: the check needs a modulus phi (check_lemma_3_5)
     "reflected-modulus": ClassSpec(_reflected_modulus, np.argmax, lambda v, p: v > TOL_CERT),
 }
 
@@ -659,87 +697,64 @@ def scaled_pair_family(direction, gap, name: str = "scaled-pair",
     )
 
 
-@dataclass
-class SequentialReport:
-    """Tabulated sequential probe of one witness family."""
-
-    family: str
-    mode: str
-    n: np.ndarray
-    separation: np.ndarray       # b_n = |x_n - y_n|
-    premise: np.ndarray          # r_n (sne) or d_n (ssne)
-    gap: np.ndarray              # g_n = |(x_n-y_n) - (Tx_n-Ty_n)|
-    bounded: bool
-    refuted: bool
-    observed: dict
-
-
 def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
-                     n_max: int) -> SequentialReport:
+                     n_max: int) -> ClassCertificate:
     """Evaluate the sequential nonexpansiveness definitions along a family.
 
     In ``ssne`` mode the premise is ``d_n = b_n^2 - |Tx_n - Ty_n|^2``; in
     ``sne`` mode it is ``r_n = b_n - |Tx_n - Ty_n|`` and the separations
-    must stay bounded for a refutation to count.  A family whose premise
-    tail vanishes while the displacement gap stays above ``SEQ_GAP_FLOOR``
-    is a refutation witness for the class.
+    ``b_n = |x_n - y_n|`` must stay bounded for a refutation to count.  A
+    family whose premise tail vanishes while the displacement gap
+    ``g_n = |(x_n-y_n) - (Tx_n-Ty_n)|`` stays above ``SEQ_GAP_FLOOR`` is a
+    refutation witness for the class.
 
     "Vanishes" is judged against ``SEQ_DECAY_TOL`` plus the float64 error
     bar of the evaluated statistic (``SEQ_PREMISE_ULPS`` units of
     ``eps * b_n^2``, resp. ``eps * b_n``): along families with growing base
     points the difference of squares cannot be resolved below that bar,
     although the true value tends to zero.
+
+    The estimates are the premise at each ``n``; a refutation's witness is
+    the tail pair ``(x_n, y_n)`` of the largest gap.  Seed and samples are 0.
     """
     if mode not in ("sne", "ssne"):
         raise DomainError("mode must be 'sne' or 'ssne'")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    top = min(n_max, family.n_cap)
-    ns = np.arange(1, top + 1)
-    xs, ys = zip(*(family.generator(int(n)) for n in ns))
-    X = np.stack([np.atleast_1d(np.asarray(v, float)) for v in xs])
-    Y = np.stack([np.atleast_1d(np.asarray(v, float)) for v in ys])
+    name = "strongly-nonexpansive" if mode == "sne" else "super-strongly-nonexpansive"
+    ns = np.arange(1, min(n_max, family.n_cap) + 1)
+    X, Y = _rows([family.generator(int(n)) for n in ns])
     TX, TY = T(X), T(Y)
-    b = np.linalg.norm(X - Y, axis=1)
-    tb = np.linalg.norm(TX - TY, axis=1)
+    b, premise = CLASSES[name].statistic(X, TX, Y, TY, {})
     gap = np.linalg.norm((X - Y) - (TX - TY), axis=1)
-    premise = b - tb if mode == "sne" else b * b - tb * tb
     scale = b if mode == "sne" else b * b
     tail = max(3, len(ns) // 4)
-    eps64 = np.finfo(float).eps
-    bars = SEQ_DECAY_TOL + SEQ_PREMISE_ULPS * eps64 * scale[-tail:]
-    premise_tail = float(np.max(np.abs(premise[-tail:])))
+    bars = SEQ_DECAY_TOL + SEQ_PREMISE_ULPS * np.finfo(float).eps * scale[-tail:]
     gap_tail = float(np.min(gap[-tail:]))
     bounded = bool(np.max(b) <= SEQ_BOUNDED_FACTOR * max(np.min(b), 1e-300))
     vanishes = bool(np.all(np.abs(premise[-tail:]) <= bars))
-    persists = gap_tail >= SEQ_GAP_FLOOR
-    refuted = vanishes and persists and (mode == "ssne" or bounded)
-    return SequentialReport(
-        family=family.name,
-        mode=mode,
-        n=ns,
-        separation=b,
-        premise=premise,
-        gap=gap,
-        bounded=bounded,
-        refuted=refuted,
-        observed={
-            "premise_tail_max": premise_tail,
-            "gap_tail_min": gap_tail,
-            "final_separation": float(b[-1]),
-        },
+    refuted = vanishes and gap_tail >= SEQ_GAP_FLOOR and (mode == "ssne" or bounded)
+    j = len(ns) - tail + int(np.argmax(gap[-tail:]))
+    params = {
+        "family": family.name,
+        "bounded": bounded,
+        "premise_tail_max": float(np.max(np.abs(premise[-tail:]))),
+        "gap_tail_min": gap_tail,
+        "final_separation": float(b[-1]),
+    }
+    return _certificate(
+        name, params, [{"probe": float(n), "value": float(p)} for n, p in zip(ns, premise)],
+        refuted, 0, 0, _Extreme(float(premise[j]), _points(X[j], Y[j]), 1),
     )
-
-
-_SEQUENTIAL_MODES = {"strongly-nonexpansive": "sne", "super-strongly-nonexpansive": "ssne"}
 
 
 def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
                        families: Sequence[WitnessFamily] = ()) -> ClassCertificate:
     """SNE or SSNE certificate (``name`` is the class) from sequential
     probes on ``families`` plus four scaled-pair families drawn from
-    ``cfg.seed``; refuted when any family refutes."""
-    mode = _SEQUENTIAL_MODES[name]
+    ``cfg.seed``; refuted when any family refutes, with the first refuting
+    family's witness."""
+    mode = "sne" if name == "strongly-nonexpansive" else "ssne"
     rng = np.random.default_rng(cfg.seed)
     families = list(families)
     for i in range(4):
@@ -747,13 +762,15 @@ def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
         u /= max(np.linalg.norm(u), 1e-300)
         c = rng.uniform(0.5, 2.0) * rng.standard_normal(T.dim)
         families.append(scaled_pair_family(u, c, name=f"scaled-{i}", n_cap=40))
-    reports = [check_sequential(T, fam, mode, n_max=40) for fam in families]
+    checks = [check_sequential(T, fam, mode, n_max=40) for fam in families]
+    first = next((c for c in checks if c.verdict == REFUTED), None)
     return _certificate(
         name,
-        {"families": [r.family for r in reports]},
-        [{"probe": float(i), "value": r.observed["premise_tail_max"]}
-         for i, r in enumerate(reports)],
-        any(r.refuted for r in reports), cfg.seed, cfg.sample_count,
+        {"families": [c.params["family"] for c in checks]},
+        [{"probe": float(i), "value": c.params["premise_tail_max"]}
+         for i, c in enumerate(checks)],
+        first is not None, cfg.seed, cfg.sample_count,
+        None if first is None else _Extreme(first.witness_value, first.witness, 1),
         notes="sequential probe over witness families",
     )
 
@@ -798,19 +815,13 @@ def check_growth(pairs) -> ClassCertificate:
     return _judge(name, _measure(name, _pair_rows(pairs), True), 0, 0, {}, 0.9, _top_decile)
 
 
-def _flat_envelope(mins) -> bool:
-    """Coercivity is refuted unless the shell minima rise: at least two
-    shells, no drop beyond 1e-12 and the last above the first by 1e-9."""
-    return not (len(mins) >= 2 and np.all(np.diff(mins) >= -1e-12)
-                and mins[-1] > mins[0] + 1e-9)
-
-
 def check_coercive(samples) -> ClassCertificate:
     """Coercivity certificate of graph points: the minima of ``<x, x*>/|x|``
     over ``COERCIVE_SHELLS`` quantile shells of ``|x|``, keyed by each
-    shell's outer edge, must rise.  Points at ``x = 0`` are dropped; a graph
-    with every point there is vacuous.  The certificate's seed and sample
-    count are 0: the points come as given."""
+    shell's outer edge, must rise.  A refutation's witness is the minimising
+    point ``(x, x*, 0, 0)`` of the shell that breaks the rise.  Points at
+    ``x = 0`` are dropped; a graph with every point there is vacuous.  The
+    certificate's seed and sample count are 0: the points come as given."""
     name = "coercive"
     X, XS = _rows(samples)
     origin = np.zeros_like(X)
@@ -821,9 +832,14 @@ def check_coercive(samples) -> ClassCertificate:
     edges = np.quantile(batch.dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
     shells = [_extreme(name, [batch], lambda d, lo=lo, hi=hi: (d >= lo) & (d <= hi))
               for lo, hi in zip(edges, edges[1:])]
+    # the minima rise: two shells or more, no drop beyond 1e-12, the last above
+    # the first by 1e-9; else the first dropping shell (or the last) refutes
+    mins = [e for e in shells if e.value is not None]
+    drops = [b for a, b in zip(mins, mins[1:]) if b.value - a.value < -1e-12]
+    rises = not drops and len(mins) >= 2 and mins[-1].value > mins[0].value + 1e-9
     return _certificate(
         name, {}, [{"probe": float(hi), "value": e.value} for hi, e in zip(edges[1:], shells)],
-        _flat_envelope([e.value for e in shells if e.value is not None]), 0, 0,
+        not rises, 0, 0, (drops or mins[-1:])[0],
     )
 
 

@@ -3,6 +3,8 @@
 Commands: ``gallery`` (list registry entries), ``certify`` (class
 certification with JSON output), ``split`` (PR/DR/FB runs with CSV traces),
 ``witness`` (witness-sequence dumps), ``selfdual`` (the verdict triptych).
+``certify --class`` runs a row of the class table ``mosk.certify.CLASSES``
+on the target it names, built from the gallery entry.
 
 Exit codes: 0 success, 1 usage error, 2 a class was refuted (certify) or a
 run did not converge under ``--expect-converge`` (split), 3 numerical
@@ -165,27 +167,6 @@ def _own_families(name: str) -> list:
     return [gallery.witnesses(name)] if e.make_map and e.make_witnesses else []
 
 
-# --class name -> (target kind, certifier(target, sampler config, arguments))
-CERTIFIERS = {
-    "nonexpansive": ("map", lambda T, cfg, a: cert.certify_lipschitz(T, cfg)),
-    "banach-contraction": ("map", lambda T, cfg, a: cert.certify_banach_contraction(T, cfg)),
-    "firmly-nonexpansive": ("resolvent", lambda F, cfg, a: cert.certify_firm(F, cfg)),
-    "averaged": ("map", lambda T, cfg, a: cert.certify_averaged(T, a.alpha, cfg)),
-    "contraction-large-distances": (
-        "map", lambda T, cfg, a: cert.certify_cld(T, a.eps or a.t or PROBES, cfg)),
-    "uniformly-monotone": (
-        "operator", lambda A, cfg, a: cert.estimate_modulus(A, a.t or PROBES, cfg)),
-    "strongly-monotone": ("operator", lambda A, cfg, a: cert.certify_strongly_monotone(A, cfg)),
-    "strongly-nonexpansive": ("map", lambda T, cfg, a: cert.certify_sequential(
-        T, "strongly-nonexpansive", cfg, _own_families(a.op))),
-    "super-strongly-nonexpansive": ("map", lambda T, cfg, a: cert.certify_sequential(
-        T, "super-strongly-nonexpansive", cfg, _own_families(a.op))),
-    "coercive": ("graph", lambda G, cfg, a: cert.certify_graph(G, "coercive", cfg)),
-    "growth-condition": (
-        "graph", lambda G, cfg, a: cert.certify_graph(G, "growth-condition", cfg)),
-}
-
-
 def _config(args, **extra) -> dict:
     """The resolved configuration of a certify or selfdual run."""
     return {"op": args.op, "dim": args.dim, "seed": args.seed, "samples": args.samples,
@@ -193,9 +174,11 @@ def _config(args, **extra) -> dict:
 
 
 def cmd_certify(args) -> int:
-    kind, certifier = CERTIFIERS[args.klass]
-    target = _target(kind, args.op, args.dim)
-    certificate = certifier(target, _sampler(args, gallery.dimension(args.op, args.dim)), args)
+    spec = cert.CLASSES[args.klass]
+    target = _target(spec.target, args.op, args.dim)
+    certificate = spec.run(target, _sampler(args, gallery.dimension(args.op, args.dim)),
+                           alpha=args.alpha, t=args.t or PROBES,
+                           eps=args.eps or args.t or PROBES, families=_own_families(args.op))
     payload = {
         "schema": 1,
         "command": "certify",
@@ -330,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
 
     c = sub.add_parser("certify", parents=[run], help="run a class certifier")
-    c.add_argument("--class", dest="klass", required=True, choices=CERTIFIERS, metavar="CLASS",
-                   help=", ".join(CERTIFIERS))
+    classes = [name for name, spec in cert.CLASSES.items() if spec.run is not None]
+    c.add_argument("--class", dest="klass", required=True, choices=classes, metavar="CLASS",
+                   help=", ".join(classes))
     c.add_argument("--alpha", type=float, default=0.5)
     c.set_defaults(func=cmd_certify)
 

@@ -43,7 +43,7 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if self.tol_residual < 0:
+        if not self.tol_residual >= 0:  # NaN fails too
             raise DomainError("tol_residual must be >= 0")
 
 

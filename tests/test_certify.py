@@ -275,34 +275,34 @@ def test_check_sequential_staircase():
     fam = gallery.witnesses("staircase")
     T = gallery.mapping("staircase")
     rep = certify.check_sequential(T, fam, "ssne", 30)
-    assert rep.refuted
-    assert rep.observed["gap_tail_min"] >= 0.999
+    assert rep.verdict == REFUTED
+    assert rep.params["gap_tail_min"] >= 0.999
     # d_n tabulated at moderate n matches 4^{-n}
     k = 5
-    assert rep.premise[k - 1] == pytest.approx(4.0**-k, rel=1e-6)
+    assert rep.estimates[k - 1]["value"] == pytest.approx(4.0**-k, rel=1e-6)
     # SNE mode: separations unbounded, no refutation claimed
     rep2 = certify.check_sequential(T, fam, "sne", 30)
-    assert not rep2.refuted and not rep2.bounded
+    assert rep2.verdict == CONSISTENT and not rep2.params["bounded"]
 
 
 def test_check_sequential_scaled_families():
     C = gallery.operator("cubic")
     R = core.reflected_map(C)
     fam = certify.scaled_pair_family([1.0], [1.0], n_cap=45)
-    assert certify.check_sequential(R, fam, "ssne", 45).refuted
-    assert not certify.check_sequential(negate(R), fam, "ssne", 45).refuted
+    assert certify.check_sequential(R, fam, "ssne", 45).verdict == REFUTED
+    assert certify.check_sequential(negate(R), fam, "ssne", 45).verdict == CONSISTENT
     # clamp-sin map on growing pairs: premise stays large, no refutation
     Tc = negate(core.reflected_map(gallery.operator("clamp-sin-op")))
     grow = certify.WitnessFamily(
         "grow", lambda n: (np.array([float(n)]), np.array([0.0])), n_cap=60
     )
-    assert not certify.check_sequential(Tc, grow, "ssne", 40).refuted
+    assert certify.check_sequential(Tc, grow, "ssne", 40).verdict == CONSISTENT
     # identity with constant gap: premise and gap both vanish
     const = certify.WitnessFamily(
         "const", lambda n: (np.array([float(n)]), np.array([float(n) - 2.0])), n_cap=60
     )
     rep = certify.check_sequential(IDENT, const, "ssne", 40)
-    assert not rep.refuted and rep.observed["gap_tail_min"] == 0.0
+    assert rep.verdict == CONSISTENT and rep.params["gap_tail_min"] == 0.0
     with pytest.raises(DomainError):
         certify.check_sequential(IDENT, const, "bogus", 10)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mosk import certify as cert
-from mosk import core, gallery
+from mosk import cli, core, gallery
 from mosk.cli import main
 
 
@@ -205,6 +205,16 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     # two operators of different dimensions
     assert main(["split", "--algo", "dr", "--opA", "staircase", "--opB", "zero",
                  "--x0", "3,1"]) == 1
+    # non-finite probes, boxes and tolerances
+    assert main(["certify", "--op", "cubic", "--class", "uniformly-monotone", "--t", "nan"]) == 1
+    assert main(["certify", "--op", "cubic", "--class", "uniformly-monotone", "--t", "inf"]) == 1
+    assert main(["selfdual", "--op", "cubic", "--t", "nan"]) == 1
+    assert main(["certify", "--op", "clamp-sin-map", "--class", "contraction-large-distances",
+                 "--eps", "nan"]) == 1
+    for box in ("--box=-inf,inf", "--box=-1e308,1e308"):
+        assert main(["certify", "--op", "cubic", "--class", "nonexpansive", box]) == 1
+    assert main(["split", "--algo", "pr", "--opA", "zero", "--opB", "zero", "--x0", "1",
+                 "--tol", "nan"]) == 1
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
@@ -212,6 +222,10 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     assert "error: argument --t" in err and "error: --probes must be >= 0" in err
     assert "error: MOSK_SEED" in err and "Traceback" not in err
     assert "error: operators live in different dimensions" in err
+    assert err.count("error: t_list must be positive and finite") == 3
+    assert "error: eps_list must be positive and finite" in err
+    assert err.count("error: need finite box bounds") == 2
+    assert "error: tol_residual must be >= 0" in err
     assert "numerical failure" not in err
 
 
@@ -317,6 +331,33 @@ def test_certify_sequential_classes(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "klass", [name for name, spec in cert.CLASSES.items() if spec.run is not None]
+)
+def test_certify_matrix_witnesses_replay(klass, tmp_path, capsys):
+    # the class on every gallery entry: the exit-code contract holds, the
+    # file holds the certificate of the row the CLI runs, and a refutation
+    # carries a witness that replays bit for bit
+    spec = cert.CLASSES[klass]
+    for op in gallery.names():
+        out = tmp_path / f"{op}.json"
+        code = main(["certify", "--op", op, "--class", klass, "--samples", "1000", "--seed", "3",
+                     "--out", str(out)])
+        assert code in (0, 1, 2) and "Traceback" not in capsys.readouterr().err, op
+        if code == 1:  # the entry has no target of the row's kind
+            continue
+        target = cli._target(spec.target, op, None)
+        cfg = cert.SamplerConfig.symmetric(3, 1000, gallery.dimension(op, None), 50.0)
+        c = spec.run(target, cfg, alpha=0.5, t=cli.PROBES, eps=cli.PROBES,
+                     families=cli._own_families(op))
+        payload = json.loads(out.read_text())["certificate"]
+        assert payload == json.loads(json.dumps(c.to_json_dict())), op
+        assert code == (2 if c.verdict == cert.REFUTED else 0), op
+        if c.verdict == cert.REFUTED:
+            assert c.witness is not None and payload["witness"] == c.witness, op
+            assert cert.replay(c, target) == c.witness_value, op
 
 
 def test_certify_coercive_and_growth(tmp_path):
