@@ -18,17 +18,16 @@ the statistic across rings (below ``DECAY_THRESHOLD``) counts as a
 refutation, with the extremal pair of the last ring as witness.
 
 The class table :data:`CLASSES` is the one class-name dispatch, for the
-library, the CLI and :func:`replay`.  Every check returns a
-:class:`ClassCertificate` whose refutation carries a witness, on which
-:func:`replay` evaluates the row's statistic.  The one exception is
-``reflected-modulus``, whose certificate does not hold its ``phi``: its
-witness replays through ``CLASSES["reflected-modulus"].statistic`` with
-``{"phi": phi}``.
+library, the CLI and :func:`replay`.  Every check measures its pairs through
+the one engine (:func:`_measure`) and returns a :class:`ClassCertificate`
+whose params hold every parameter of its statistic, ``phi`` included, and
+whose refutation carries a witness, on which :func:`replay` evaluates the
+row's statistic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -312,9 +311,10 @@ def _slope(x, u, y, v, params):
 
 def _reflected_modulus(x, u, y, v, params):
     """Violation of ``|x-y|^2 - |Rx-Ry|^2 >= 4 phi(|u-v|)`` on ``u = J x``,
-    ``v = J y`` and ``R = 2 J - Id``, with ``phi = params["phi"]``."""
+    ``v = J y`` and ``R = 2 J - Id``, with ``phi`` the :class:`Modulus`
+    whose fields ``params["phi"]`` holds."""
     d2 = _sq(x - y)
-    phi = np.asarray(params["phi"](np.linalg.norm(u - v, axis=1)), dtype=float)
+    phi = Modulus(**params["phi"]).value(np.linalg.norm(u - v, axis=1))
     return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
 
 
@@ -581,27 +581,37 @@ def _cld(lifted, eps, cfg) -> ClassCertificate:
 # ---------------------------------------------------------------------------
 
 
+# Closed-form moduli by name; integer powers are products
+CLOSED_FORMS = {
+    "t^2": lambda t: t * t,
+    "t^4/4": lambda t: 0.25 * (t * t) * (t * t),
+}
+
+
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus function, as a closed form or an empirical lower-bound table.
+    """A modulus function, as plain data: the ``name`` of a closed form in
+    :data:`CLOSED_FORMS` or an empirical lower-bound table.
 
     ``table`` rows are ``(t, phi_hat(t))`` with ``phi_hat`` the binned
     infimum of graph products; ``value`` evaluates the closed form when one
-    is set and the step interpolation of the table otherwise, raised to the
+    is named and the step interpolation of the table otherwise, raised to the
     supercoercive quadratic bound when one has been attached by
     :func:`tighten_modulus`.
     """
 
-    closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    name: Optional[str] = None
     table: Tuple[Tuple[float, float], ...] = ()
     supercoercive_bound: Optional[float] = None
 
+    def __post_init__(self):
+        if self.name is not None and self.name not in CLOSED_FORMS:
+            raise DomainError(f"no closed-form modulus {self.name!r} in CLOSED_FORMS")
+
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        if self.closed_form is not None:
-            base = np.asarray(self.closed_form(t), dtype=float)
+        if self.name is not None:
+            base = np.asarray(CLOSED_FORMS[self.name](t), dtype=float)
         else:
             knots = np.array([row[0] for row in self.table])
             vals = np.array([row[1] for row in self.table])
@@ -714,7 +724,9 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     points the difference of squares cannot be resolved below that bar,
     although the true value tends to zero.
 
-    The estimates are the premise at each ``n``; a refutation's witness is
+    The engine measures the premise, so pairs with ``x_n = y_n`` are dropped
+    and a non-finite premise raises :class:`NumericalFailure`.  The
+    estimates are the premise at each kept ``n``; a refutation's witness is
     the tail pair ``(x_n, y_n)`` of the largest gap.  Seed and samples are 0.
     """
     if mode not in ("sne", "ssne"):
@@ -725,7 +737,12 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     ns = np.arange(1, min(n_max, family.n_cap) + 1)
     X, Y = _rows([family.generator(int(n)) for n in ns])
     TX, TY = T(X), T(Y)
-    b, premise = CLASSES[name].statistic(X, TX, Y, TY, {})
+    batch = _measure(name, (X, TX, Y, TY), False)
+    if batch.keep is not None:
+        ns, X, TX, Y, TY = (a[batch.keep] for a in (ns, X, TX, Y, TY))
+    if ns.size == 0:
+        raise DomainError(f"family {family.name!r} has no pair with x_n != y_n")
+    b, premise = batch.dist, batch.value
     gap = np.linalg.norm((X - Y) - (TX - TY), axis=1)
     scale = b if mode == "sne" else b * b
     tail = max(3, len(ns) // 4)
@@ -864,19 +881,14 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
     return replace(cert, seed=cfg.seed, sample_count=cfg.sample_count)
 
 
-def check_lemma_3_5(A: MonotoneOperator, phi, cfg: SamplerConfig) -> ClassCertificate:
+def check_lemma_3_5(A: MonotoneOperator, phi: Modulus, cfg: SamplerConfig) -> ClassCertificate:
     """Sampled check of the reflected-resolvent modulus inequality
-    ``|x-y|^2 - |R_A x - R_A y|^2 >= 4 phi(|J_A x - J_A y|)``, ``phi`` a
-    :class:`Modulus` or a vectorized function.  The estimate is the largest
-    violation, and a refutation's witness is its pair ``(x, y)``.  ``phi``
-    stays out of the certificate, which must encode as JSON, so the witness
-    replays through ``CLASSES["reflected-modulus"].statistic`` with
-    ``{"phi": phi}``; :func:`replay` refuses it."""
-    name = "reflected-modulus"
-    X, Y = pair_batches(cfg)
-    params = {"phi": phi.value if isinstance(phi, Modulus) else phi}
-    batch = _measure(name, (X, A.resolvent(X), Y, A.resolvent(Y)), False, params)
-    return _judge(name, batch, cfg.seed, cfg.sample_count, {"sampler": cfg.describe()}, 0.0)
+    ``|x-y|^2 - |R_A x - R_A y|^2 >= 4 phi(|J_A x - J_A y|)``.  The estimate
+    is the largest violation, and a refutation's witness is its pair
+    ``(x, y)``.  The certificate records the fields of ``phi`` under
+    ``params["phi"]``, so :func:`replay` reproduces the witness value with
+    ``J_A`` as its map."""
+    return _certify("reflected-modulus", A.resolvent, cfg, {"phi": asdict(phi)}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -977,11 +989,12 @@ def compare_with_declaration(op: MonotoneOperator, cert: ClassCertificate) -> di
 def replay(cert: ClassCertificate, target=None) -> float:
     """Recompute the violating statistic from a certificate's stored witness.
 
-    The class table's statistic runs on the witness as a one-row batch.
-    ``target`` is the map of a two-point witness ``(x, y)``; a four-point
-    witness ``(x, x*, y, y*)`` carries both graph points and needs none.  A
-    class whose statistic needs a parameter the certificate does not hold
-    (``reflected-modulus``: ``phi``) raises :class:`DomainError`.
+    The class table's statistic runs on the witness as a one-row batch, with
+    the certificate's params.  ``target`` is the map of a two-point witness
+    ``(x, y)`` (``J_A`` for ``reflected-modulus``); a four-point witness
+    ``(x, x*, y, y*)`` carries both graph points and needs none.  A
+    certificate built by hand or loaded from JSON that lacks a parameter of
+    its statistic raises :class:`DomainError`.
     """
     if cert.witness is None:
         raise DomainError("certificate has no witness to replay")

@@ -167,22 +167,31 @@ def _own_families(name: str) -> list:
     return [gallery.witnesses(name)] if e.make_map and e.make_witnesses else []
 
 
-def _config(args, **extra) -> dict:
-    """The resolved configuration of a certify or selfdual run."""
-    return {"op": args.op, "dim": args.dim, "seed": args.seed, "samples": args.samples,
-            "box": list(args.box), "t": args.t, "eps": args.eps, **extra}
+def _config(args) -> dict:
+    """The resolved configuration an output file embeds: every option but
+    ``--out`` and ``--expect-converge``.  It must encode as JSON, so probes
+    that are not positive and finite and a non-finite ``--alpha`` are usage
+    errors whether or not the run reads them."""
+    config = {("class" if key == "klass" else key): value for key, value in vars(args).items()
+              if key not in ("command", "func", "out", "expect_converge")}
+    for key, label in (("t", "t_list"), ("eps", "eps_list")):
+        if config.get(key) is not None:
+            cert._knots(config[key], label)
+    if "alpha" in config and not np.isfinite(config["alpha"]):
+        raise DomainError("alpha must be finite")
+    return config
 
 
 def cmd_certify(args) -> int:
     spec = cert.CLASSES[args.klass]
     target = _target(spec.target, args.op, args.dim)
-    certificate = spec.run(target, _sampler(args, gallery.dimension(args.op, args.dim)),
-                           alpha=args.alpha, t=args.t or PROBES,
+    cfg, config = _sampler(args, gallery.dimension(args.op, args.dim)), _config(args)
+    certificate = spec.run(target, cfg, alpha=args.alpha, t=args.t or PROBES,
                            eps=args.eps or args.t or PROBES, families=_own_families(args.op))
     payload = {
         "schema": 1,
         "command": "certify",
-        "config": _config(args, alpha=args.alpha, **{"class": args.klass}),
+        "config": config,
         "certificate": certificate.to_json_dict(),
     }
     e = gallery.entry(args.op)
@@ -211,21 +220,8 @@ def cmd_split(args) -> int:
         if args.gamma is None:
             raise DomainError("--gamma is required for the fb algorithm")
         trace = split.forward_backward(A, B, args.gamma, x0, stop, probe_coords=probes)
-    config = {
-        "schema": 1,
-        "command": "split",
-        "algo": args.algo,
-        "opA": args.opA,
-        "opB": args.opB,
-        "dim": args.dim,
-        "gamma": args.gamma,
-        "x0": args.x0,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "probes": args.probes,
-    }
     if args.out:
-        trace.write_csv(args.out, config=config)
+        trace.write_csv(args.out, config={"schema": 1, "command": "split", **_config(args)})
     final_res = trace.residuals[-1] if len(trace.residuals) else float("nan")
     print(
         f"split {args.algo}: termination={trace.termination} steps={trace.n_steps} "
@@ -247,7 +243,7 @@ def cmd_witness(args) -> int:
         for n in range(1, args.n + 1):
             x, y, d, g = staircase_witnesses(n)
             rows.append([n, x[0], x[1], y[0], y[1], d, g])
-    elif args.example == "cone-subdiff-growth":
+    else:  # cone-subdiff-growth, the other --example choice
         header = ["n", "x_1", "x_2", "y_1", "y_2", "xstar_1", "xstar_2", "ratio", "coercivity_probe"]
         for n in range(1, args.n + 1):
             first, second = cone_subdiff_witnesses(n)
@@ -257,9 +253,7 @@ def cmd_witness(args) -> int:
             rows.append(
                 [n, *first.x, *second.x, *first.xstar, ratio, probe]
             )
-    else:
-        raise DomainError(f"unknown witness example {args.example!r}")
-    config = {"schema": 1, "command": "witness", "example": args.example, "n": args.n}
+    config = {"schema": 1, "command": "witness", **_config(args)}
     out = args.out or f"{args.example}.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
@@ -275,12 +269,12 @@ def cmd_witness(args) -> int:
 
 def cmd_selfdual(args) -> int:
     A = gallery.operator(args.op, args.dim)
-    scfg = _sampler(args, A.dim)
+    scfg, config = _sampler(args, A.dim), _config(args)
     report = cert.check_selfdual(A, scfg, t_list=args.t or PROBES, eps_list=args.eps or PROBES)
     payload = {
         "schema": 1,
         "command": "selfdual",
-        "config": _config(args),
+        "config": config,
         "report": report.to_json_dict(),
     }
     stream = _write_json(args.out, payload)

@@ -1,10 +1,11 @@
 """Composition calculus for nonexpansive mappings and the splitting-operator
 builders (Peaceman-Rachford, Douglas-Rachford, forward-backward).
 
-Class metadata does not propagate automatically through composition:
+Class metadata does not propagate automatically through composition: a
+:class:`SignedMap` carries only the sign of its declaration, and
 :func:`predicted_sign` is a separate declarative calculator for the sign
 carried by a composition of maps that are (super) strongly nonexpansive up
-to sign, and the certifiers provide the empirical cross-check.
+to sign; the certifiers provide the empirical cross-check.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ class SignedMap:
 
     map: NonexpansiveMap
     sign: int
-    class_level: str = "ssne"
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise DomainError("sign must be +1 or -1")
-        if self.class_level not in ("sne", "ssne", "cld"):
-            raise DomainError("class_level must be 'sne', 'ssne' or 'cld'")
 
 
 def compose(maps: Sequence[NonexpansiveMap]) -> NonexpansiveMap:

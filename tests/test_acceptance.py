@@ -165,7 +165,7 @@ def test_c09_reflected_modulus_inequality():
     cfg_mod = SamplerConfig.symmetric(seed=909, sample_count=100_000, dim=1, half_width=40.0)
     est = certify.estimate_modulus(A, [0.5, 1.0, 2.0, 4.0], cfg_mod)
     shells_ok = all(v >= t**4 / 4.0 - 1e-6 for t, v in est.table)
-    phi = certify.Modulus(closed_form=lambda t: 0.25 * t**4)
+    phi = certify.Modulus(name="t^4/4")
     cfg = SamplerConfig.symmetric(seed=910, sample_count=100_000, dim=1, half_width=10.0)
     rep = certify.check_lemma_3_5(A, phi, cfg)
     worst = rep.estimates[0]["value"]

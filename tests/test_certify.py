@@ -1,5 +1,7 @@
 import ast
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +307,23 @@ def test_check_sequential_scaled_families():
     assert rep.verdict == CONSISTENT and rep.params["gap_tail_min"] == 0.0
     with pytest.raises(DomainError):
         certify.check_sequential(IDENT, const, "bogus", 10)
+    # pairs with x_n = y_n carry no evidence; a family of nothing else is no probe
+    same = certify.WitnessFamily("same", lambda n: (np.array([float(n)]),) * 2, n_cap=10)
+    with pytest.raises(DomainError, match="x_n != y_n"):
+        certify.check_sequential(IDENT, same, "ssne", 10)
+
+
+@pytest.mark.parametrize("mode", ["sne", "ssne"])
+def test_check_sequential_fails_closed(mode):
+    # exp overflows to inf along the family, so the premise is nan from n = 10:
+    # no certificate, not a consistent verdict
+    EXP = NonexpansiveMap(1, np.exp, "exp")
+    fam = certify.scaled_pair_family([1.0], [1.0], n_cap=40)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+        certify.check_sequential(EXP, fam, mode, 40)
+    name = {"sne": "strongly-nonexpansive", "ssne": "super-strongly-nonexpansive"}[mode]
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+        certify.certify_sequential(EXP, name, cfg1(), [fam])
 
 
 def test_check_growth():
@@ -348,11 +367,11 @@ def test_check_coercive():
 
 def test_check_lemma_3_5():
     C = gallery.operator("cubic")
-    phi = certify.Modulus(closed_form=lambda t: 0.25 * t**4)
+    phi = certify.Modulus(name="t^4/4")
     rep = certify.check_lemma_3_5(C, phi, cfg1(width=10.0))
     assert rep.estimates[0]["value"] <= 1e-9
     I1 = gallery.operator("identity", 1)
-    phi_sq = certify.Modulus(closed_form=lambda t: t * t)
+    phi_sq = certify.Modulus(name="t^2")
     rep = certify.check_lemma_3_5(I1, phi_sq, cfg1(width=10.0))
     assert rep.estimates[0]["value"] <= 1e-9  # equality case
     S = gallery.operator("rotator")
@@ -363,27 +382,38 @@ def test_check_lemma_3_5():
 def test_check_lemma_3_5_witness_is_the_statistic():
     # the stored value is the class statistic on the stored pair (x, y)
     S = gallery.operator("rotator")
-    phi_sq = lambda t: t * t  # noqa: E731
+    phi_sq = certify.Modulus(name="t^2")
     rep = certify.check_lemma_3_5(S, phi_sq, cfg2(n=5_000, width=10.0))
     assert rep.verdict == REFUTED
     x, y = (np.array([p]) for p in rep.witness)
     _, value = certify.CLASSES["reflected-modulus"].statistic(
-        x, S.resolvent(x), y, S.resolvent(y), {"phi": phi_sq})
+        x, S.resolvent(x), y, S.resolvent(y), rep.params)
     assert value[0] == rep.witness_value == rep.estimates[0]["value"]
 
 
-def test_replay_refuses_reflected_modulus():
-    # phi is not in the certificate, so replay cannot evaluate the statistic
+def test_replay_reflected_modulus():
+    # phi is data in the certificate's params, so the witness replays, also
+    # from params that went through JSON
     S = gallery.operator("rotator")
-    rep = certify.check_lemma_3_5(S, lambda t: t * t, cfg2(n=5_000, width=10.0))
-    assert rep.witness is not None
+    rep = certify.check_lemma_3_5(S, certify.Modulus(name="t^2"), cfg2(n=5_000, width=10.0))
+    assert rep.verdict == REFUTED and rep.params["phi"]["name"] == "t^2"
+    assert certify.replay(rep, S.resolvent) == rep.witness_value
+    loaded = replace(rep, params=json.loads(json.dumps(rep.params)))
+    assert certify.replay(loaded, S.resolvent) == rep.witness_value
+    # a certificate built by hand without phi cannot replay
     with pytest.raises(DomainError, match="phi"):
-        certify.replay(rep, S.resolvent)
+        certify.replay(replace(rep, params={}), S.resolvent)
+
+
+def test_modulus_names_a_closed_form():
+    assert certify.Modulus(name="t^4/4").value(2.0) == 4.0
+    with pytest.raises(DomainError, match="t\\^3"):
+        certify.Modulus(name="t^3")
 
 
 def test_check_lemma_3_5_fails_closed():
     # squares of |x - y| overflow on this box: no certificate, not nan
-    phi = certify.Modulus(closed_form=lambda t: 0.25 * t**4)
+    phi = certify.Modulus(name="t^4/4")
     cfg = SamplerConfig.symmetric(seed=4, sample_count=2_000, dim=1, half_width=1e200)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
         certify.check_lemma_3_5(gallery.operator("cubic"), phi, cfg)
@@ -464,3 +494,16 @@ def test_traced_names_are_certify_attributes():
     assert "check_lemma_3_5" in traced
     for name in (*traced, "pair_batches", "_ring_pair_batches", "minty_sample"):
         assert callable(getattr(certify, name, None)), name
+
+
+def test_statistics_run_only_in_the_engine_and_replay():
+    # every check measures through _measure, so none skips its fail-closed
+    # guard; replay evaluates one witness row
+    tree = ast.parse(Path(certify.__file__).read_text())
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "statistic"):
+                callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"_measure", "replay"}

@@ -229,6 +229,19 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     assert "numerical failure" not in err
 
 
+@pytest.mark.parametrize("option,label", [("--t=nan", "t_list"), ("--eps=inf", "eps_list"),
+                                          ("--alpha=nan", "alpha")])
+def test_non_finite_options_are_usage_errors_for_every_class(option, label, tmp_path, capsys):
+    # the row does not read the value, but the config would echo it as a
+    # non-JSON NaN or Infinity
+    out = tmp_path / "c.json"
+    code = main(["certify", "--op", "cubic", "--class", "nonexpansive", option,
+                 "--samples", "200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"error: {label} must be") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("dim", ["-1", "0"])
 def test_dim_below_one_is_usage_error(dim, capsys):
     code = main(["certify", "--op", "identity", "--dim", dim, "--class", "nonexpansive",
@@ -333,6 +346,13 @@ def test_certify_sequential_classes(tmp_path):
     assert code == 0
 
 
+def _strict_json(text: str):
+    """Parse JSON as RFC 8259 has it: NaN and Infinity are not values."""
+    def refuse(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize(
     "klass", [name for name, spec in cert.CLASSES.items() if spec.run is not None]
 )
@@ -352,7 +372,7 @@ def test_certify_matrix_witnesses_replay(klass, tmp_path, capsys):
         cfg = cert.SamplerConfig.symmetric(3, 1000, gallery.dimension(op, None), 50.0)
         c = spec.run(target, cfg, alpha=0.5, t=cli.PROBES, eps=cli.PROBES,
                      families=cli._own_families(op))
-        payload = json.loads(out.read_text())["certificate"]
+        payload = _strict_json(out.read_text())["certificate"]
         assert payload == json.loads(json.dumps(c.to_json_dict())), op
         assert code == (2 if c.verdict == cert.REFUTED else 0), op
         if c.verdict == cert.REFUTED:

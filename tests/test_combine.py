@@ -57,8 +57,6 @@ def test_signed_map_validation():
     with pytest.raises(DomainError):
         SignedMap(IDENT, 0)
     with pytest.raises(DomainError):
-        SignedMap(IDENT, 1, class_level="nope")
-    with pytest.raises(DomainError):
         predicted_sign([])
 
 
