@@ -61,6 +61,9 @@ DECAY_THRESHOLD, MIN_RING_PAIRS = 0.05, 24
 BANACH_MARGIN, COERCIVE_SHELLS = 1e-4, 8
 SEQ_DECAY_TOL, SEQ_GAP_FLOOR, SEQ_BOUNDED_FACTOR, SEQ_PREMISE_ULPS = 1e-6, 1e-3, 10.0, 512.0
 
+# Default shell radii t and CLD probes eps (check_selfdual, mosk certify).
+PROBES = (0.5, 1.0, 2.0, 4.0)
+
 
 # ---------------------------------------------------------------------------
 # Deterministic pair sampling
@@ -798,12 +801,14 @@ def certify_sequential(T: NonexpansiveMap, name: str, cfg: SamplerConfig,
 
 
 def _rows(points) -> tuple:
-    """The ``(n, dim)`` rows ``(X, X*)`` of a batched GraphSample or of a
-    sequence of single graph points."""
+    """The ``(n, dim)`` rows ``(X, X*)`` of a batched GraphSample, whose
+    arrays must have that shape, or of a sequence of single graph points."""
     if isinstance(points, GraphSample):
-        # a 1-D batch array is a batch of scalars
-        arrays = (np.asarray(a, dtype=float) for a in points)
-        return tuple(a.reshape(-1, 1) if a.ndim <= 1 else a for a in arrays)
+        arrays = tuple(np.asarray(a, dtype=float) for a in points)
+        # a lone 2-D point would pass for a batch of scalars
+        if any(a.ndim != 2 for a in arrays):
+            raise DomainError("a batched GraphSample must hold (n, dim) arrays")
+        return arrays
     return tuple(np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in col])
                  for col in zip(*points))
 
@@ -824,7 +829,9 @@ def _top_decile(dist):
 
 
 def check_growth(pairs) -> ClassCertificate:
-    """Growth-condition certificate of graph-point pairs: the smallest ratio
+    """Growth-condition certificate of graph-point pairs, given as two
+    batched GraphSamples of ``(n, dim)`` arrays or as a sequence of pairs
+    ``(first, second)`` of single graph points: the smallest ratio
     ``|x*-y*| / |x-y|`` over the largest-separation decile proxies the
     liminf at infinity.  Pairs that all have ``x = y`` hold it vacuously.
     The certificate's seed and sample count are 0: the pairs come as given."""
@@ -833,12 +840,14 @@ def check_growth(pairs) -> ClassCertificate:
 
 
 def check_coercive(samples) -> ClassCertificate:
-    """Coercivity certificate of graph points: the minima of ``<x, x*>/|x|``
-    over ``COERCIVE_SHELLS`` quantile shells of ``|x|``, keyed by each
-    shell's outer edge, must rise.  A refutation's witness is the minimising
-    point ``(x, x*, 0, 0)`` of the shell that breaks the rise.  Points at
-    ``x = 0`` are dropped; a graph with every point there is vacuous.  The
-    certificate's seed and sample count are 0: the points come as given."""
+    """Coercivity certificate of graph points, given as a batched
+    GraphSample of ``(n, dim)`` arrays or as a sequence of single graph
+    points: the minima of ``<x, x*>/|x|`` over ``COERCIVE_SHELLS`` quantile
+    shells of ``|x|``, keyed by each shell's outer edge, must rise.  A
+    refutation's witness is the minimising point ``(x, x*, 0, 0)`` of the
+    shell that breaks the rise.  Points at ``x = 0`` are dropped; a graph
+    with every point there is vacuous.  The certificate's seed and sample
+    count are 0: the points come as given."""
     name = "coercive"
     X, XS = _rows(samples)
     origin = np.zeros_like(X)
@@ -864,15 +873,15 @@ def certify_graph(target, name: str, cfg: SamplerConfig) -> ClassCertificate:
     """Coercivity or growth-condition certificate (``name`` is the class).
 
     ``target`` is an operator, whose graph is sampled through its resolvent
-    from ``cfg``, or an explicit witness generator ``n -> (first, second)``
-    of graph-point pairs, probed at ``n = 1..200``.  Coercivity reads both
-    points of every pair.
+    from ``cfg``, or a :class:`WitnessFamily` whose generator yields
+    graph-point pairs ``(first, second)``, probed at ``n = 1..n_cap``.
+    Coercivity reads both points of every pair.
     """
     if isinstance(target, MonotoneOperator):
         Z1, Z2 = pair_batches(cfg)
         pairs = (minty_sample(target, Z1), minty_sample(target, Z2))
     else:
-        pairs = [target(n) for n in range(1, 201)]
+        pairs = [target.generator(n) for n in range(1, target.n_cap + 1)]
     if name == "growth-condition":
         cert = check_growth(pairs)
     else:
@@ -926,8 +935,8 @@ class SelfDualReport:
 
 
 def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
-                   t_list: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-                   eps_list: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> SelfDualReport:
+                   t_list: Sequence[float] = PROBES,
+                   eps_list: Sequence[float] = PROBES) -> SelfDualReport:
     """Run the modulus estimator on ``A`` and ``A^{-1}`` and the CLD
     certifier on the reflected resolvent, and compare the verdict pattern
     against the self-duality equivalence.

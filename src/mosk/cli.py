@@ -43,9 +43,6 @@ EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_NUMERICAL = 3
 
-# default --t / --eps probes
-PROBES = [0.5, 1.0, 2.0, 4.0]
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the CLI contract
@@ -145,40 +142,43 @@ def cmd_gallery(args) -> int:
 
 
 def _target(kind: str, name: str, dim: Optional[int]):
-    """What a certifier runs on.  ``map``: the entry's map, else its
-    operator's reflected resolvent; ``resolvent``: the operator's resolvent,
-    else the map; ``operator``: the operator; ``graph``: the operator, or the
-    witness generator of an entry that has no operator."""
-    e = gallery.entry(name)
-    if kind == "graph" and e.make_operator is None and e.make_witnesses is not None:
+    """What a certifier runs on, by the kinds the entry lists.  ``map``: the
+    entry's map, else its operator's reflected resolvent; ``resolvent``: the
+    operator's resolvent, else the map; ``operator``: the operator;
+    ``graph``: the operator, or the witness family (a ``WitnessFamily`` of
+    graph-point pairs) of an entry that has no operator."""
+    kinds = gallery.entry(name).kinds
+    if kind == "graph" and "operator" not in kinds and "witnesses" in kinds:
         return gallery.witnesses(name)
     if kind in ("operator", "graph"):
         return gallery.operator(name, dim)
-    if kind == "resolvent" and e.make_operator is not None:
+    if kind == "resolvent" and "operator" in kinds:
         return resolvent_map(gallery.operator(name, dim))
-    if e.make_map is not None:
+    if "map" in kinds:
         return gallery.mapping(name, dim)
     return reflected_map(gallery.operator(name, dim))
 
 
 def _own_families(name: str) -> list:
     """The entry's own witness family, probed beside the scaled families."""
-    e = gallery.entry(name)
-    return [gallery.witnesses(name)] if e.make_map and e.make_witnesses else []
+    kinds = gallery.entry(name).kinds
+    return [gallery.witnesses(name)] if "map" in kinds and "witnesses" in kinds else []
 
 
 def _config(args) -> dict:
     """The resolved configuration an output file embeds: every option but
     ``--out`` and ``--expect-converge``.  It must encode as JSON, so probes
-    that are not positive and finite and a non-finite ``--alpha`` are usage
-    errors whether or not the run reads them."""
+    that are not positive and finite and a non-finite float option
+    (``--alpha``, ``--gamma``, ``--tol``) are usage errors whether or not the
+    run reads them."""
     config = {("class" if key == "klass" else key): value for key, value in vars(args).items()
               if key not in ("command", "func", "out", "expect_converge")}
     for key, label in (("t", "t_list"), ("eps", "eps_list")):
         if config.get(key) is not None:
             cert._knots(config[key], label)
-    if "alpha" in config and not np.isfinite(config["alpha"]):
-        raise DomainError("alpha must be finite")
+    for key, value in config.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise DomainError(f"{key} must be finite")
     return config
 
 
@@ -186,16 +186,16 @@ def cmd_certify(args) -> int:
     spec = cert.CLASSES[args.klass]
     target = _target(spec.target, args.op, args.dim)
     cfg, config = _sampler(args, gallery.dimension(args.op, args.dim)), _config(args)
-    certificate = spec.run(target, cfg, alpha=args.alpha, t=args.t or PROBES,
-                           eps=args.eps or args.t or PROBES, families=_own_families(args.op))
+    certificate = spec.run(target, cfg, alpha=args.alpha, t=args.t or cert.PROBES,
+                           eps=args.eps or args.t or cert.PROBES,
+                           families=_own_families(args.op))
     payload = {
         "schema": 1,
         "command": "certify",
         "config": config,
         "certificate": certificate.to_json_dict(),
     }
-    e = gallery.entry(args.op)
-    if e.make_operator is not None:
+    if "operator" in gallery.entry(args.op).kinds:
         payload["declaration"] = cert.compare_with_declaration(
             gallery.operator(args.op, args.dim), certificate
         )
@@ -207,6 +207,8 @@ def cmd_certify(args) -> int:
 def cmd_split(args) -> int:
     if args.probes < 0:
         raise DomainError(f"--probes must be >= 0, got {args.probes}")
+    # checked before the run, which a usage error would waste
+    config = {"schema": 1, "command": "split", **_config(args)} if args.out else None
     A = gallery.operator(args.opA, args.dim)
     B = gallery.operator(args.opB, args.dim)
     stop = split.StoppingRule(max_iter=args.max_iter, tol_residual=args.tol)
@@ -221,7 +223,7 @@ def cmd_split(args) -> int:
             raise DomainError("--gamma is required for the fb algorithm")
         trace = split.forward_backward(A, B, args.gamma, x0, stop, probe_coords=probes)
     if args.out:
-        trace.write_csv(args.out, config={"schema": 1, "command": "split", **_config(args)})
+        trace.write_csv(args.out, config=config)
     final_res = trace.residuals[-1] if len(trace.residuals) else float("nan")
     print(
         f"split {args.algo}: termination={trace.termination} steps={trace.n_steps} "
@@ -270,7 +272,8 @@ def cmd_witness(args) -> int:
 def cmd_selfdual(args) -> int:
     A = gallery.operator(args.op, args.dim)
     scfg, config = _sampler(args, A.dim), _config(args)
-    report = cert.check_selfdual(A, scfg, t_list=args.t or PROBES, eps_list=args.eps or PROBES)
+    report = cert.check_selfdual(A, scfg, t_list=args.t or cert.PROBES,
+                                 eps_list=args.eps or cert.PROBES)
     payload = {
         "schema": 1,
         "command": "selfdual",

@@ -279,15 +279,14 @@ def solve_increasing(
     return float(t[0]) if scalar else t
 
 
-def solve_scalar_monotone(a: Callable[[np.ndarray], np.ndarray], x, tol: float = TOL_RESOLVENT_ROOT):
+def solve_scalar_monotone(a: Callable[[np.ndarray], np.ndarray], x):
     """Solve ``y + a(y) = x`` for a continuous nondecreasing scalar ``a``.
 
-    Returns ``y`` with ``|y + a(y) - x| <= tol``; the root finder behind
-    resolvents of one-dimensional operators that lack a closed form.
+    Returns ``y`` with ``|y + a(y) - x| <= TOL_RESOLVENT_ROOT``; the root
+    finder behind resolvents of one-dimensional operators that lack a
+    closed form.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    return solve_increasing(lambda t: t + a(t), x, tol=tol, center=x)
+    return solve_increasing(lambda t: t + a(t), x, tol=TOL_RESOLVENT_ROOT, center=x)
 
 
 def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
@@ -305,9 +304,7 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
     for tag, value in A.declared_properties.items():
         if tag == "cocoercive" and value is not None:
             props[tag] = value / gamma
-        elif tag == "strongly-monotone" and value is not None:
-            props[tag] = value * gamma
-        elif tag == "lipschitz" and value is not None:
+        elif tag in ("strongly-monotone", "lipschitz") and value is not None:
             props[tag] = value * gamma
         else:
             props[tag] = value

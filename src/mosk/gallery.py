@@ -3,7 +3,11 @@
 Every entry is registered under a string identifier (part of the CLI
 contract): ``cubic``, ``normal-cone-zero``, ``zero``, ``identity``,
 ``rotator``, ``staircase``, ``clamp-sin-map``, ``clamp-sin-op``,
-``quartic-mixed``, ``cone-subdiff``, ``shift``.
+``quartic-mixed``, ``cone-subdiff``, ``shift``.  An entry's ``makers``
+table maps each kind it exposes (``operator``, ``map``, ``function``,
+``witnesses``, the last a :class:`WitnessFamily`) to its builder, which
+:func:`operator`, :func:`mapping`, :func:`function` and :func:`witnesses`
+look up; a kind the entry does not list raises ``UnsupportedOperator``.
 
 Sign conventions for the clamped-sine pair: with ``T`` the clamped sine,
 the registry operator ``clamp-sin-op`` is the one with resolvent
@@ -17,9 +21,10 @@ the test suite verifies each against the resolvent algebra of the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -353,24 +358,29 @@ class FunctionEntry:
     )
 
 
-def fenchel_conjugate_1d(entry: FunctionEntry, xstar, tol: float = 1e-12):
+# Residual tolerance of the conjugate's root finder, relative to max(1, |x*|).
+CONJUGATE_TOL = 1e-12
+
+
+def fenchel_conjugate_1d(entry: FunctionEntry, xstar):
     """Evaluate the convex conjugate ``f*(x*) = x* y - f(y)`` where ``y``
     solves ``f'(y) = x*`` (by :func:`solve_increasing`, with Newton steps on
     ``eval_fsecond`` when the entry has one).
 
     Requires ``eval_fprime`` continuous, strictly increasing and surjective
     onto a neighbourhood of ``x*``.  An element stops once its residual is
-    at most ``tol * |x*|`` or its bracket has collapsed (as at ``x* = 0``),
-    so small ``|x*|`` keep their relative accuracy; the result is accepted
-    with residuals up to ``tol * max(1, |x*|)``, since an absolute ``tol``
-    falls below one ulp of ``x*`` once ``|x*|`` exceeds about ``1e4``.
+    at most ``CONJUGATE_TOL * |x*|`` or its bracket has collapsed (as at
+    ``x* = 0``), so small ``|x*|`` keep their relative accuracy; the result
+    is accepted with residuals up to ``CONJUGATE_TOL * max(1, |x*|)``, since
+    an absolute tolerance falls below one ulp of ``x*`` once ``|x*|``
+    exceeds about ``1e4``.
     """
     xs = np.asarray(xstar, dtype=float)
     y = solve_increasing(
         entry.eval_fprime,
         xs,
-        tol=tol * np.maximum(1.0, np.abs(xs)),
-        rtol=tol,
+        tol=CONJUGATE_TOL * np.maximum(1.0, np.abs(xs)),
+        rtol=CONJUGATE_TOL,
         dfun=entry.eval_fsecond,
     )
     return xs * y - entry.eval_f(y)
@@ -414,6 +424,11 @@ def cone_subdiff_witnesses(n: int) -> Tuple[GraphSample, GraphSample]:
     return first, second
 
 
+def cone_subdiff_witness_family() -> WitnessFamily:
+    """The pairs of :func:`cone_subdiff_witnesses` at ``n = 1..200``."""
+    return WitnessFamily(name="cone-subdiff-growth", generator=cone_subdiff_witnesses, n_cap=200)
+
+
 # ---------------------------------------------------------------------------
 # Truncated right shift
 # ---------------------------------------------------------------------------
@@ -445,8 +460,8 @@ class StaircaseParams:
     directions with decreasing slope, ``K[m] = sqrt(4^m - 4^{-m})`` the
     segment rises, ``beta[m] = K[m]/2^m < 1`` the per-segment contraction
     factors.  ``prefix[m]`` holds the compensated partial sums
-    ``sum_{j<=m} K_j w_j``.  Everything is precomputed eagerly up to ``cap``
-    and read-only afterwards.
+    ``sum_{j<=m} K_j w_j``.  Everything is precomputed up to ``cap`` and
+    read-only afterwards.
     """
 
     cap: int
@@ -458,10 +473,11 @@ class StaircaseParams:
     prefix: np.ndarray
 
 
-def staircase_params(cap: int = 40) -> StaircaseParams:
-    """Build staircase segment data up to index ``cap`` (``a[cap] ~ 2^{cap+1}``)."""
-    if not 1 <= cap <= 40:
-        raise DomainError("cap must be within 1..40")
+@functools.lru_cache(maxsize=None)
+def default_staircase() -> StaircaseParams:
+    """The staircase segment data up to index ``cap = 40`` (``a[40] ~
+    2^41``), built on first use."""
+    cap = 40
     m = np.arange(cap + 1)
     pow2 = 2.0**m
     pow4 = 4.0**m
@@ -479,25 +495,15 @@ def staircase_params(cap: int = 40) -> StaircaseParams:
     return StaircaseParams(cap=cap, a=a, K=K, w=w, beta=beta, kw=kw, prefix=prefix)
 
 
-_STAIRCASE_DEFAULT: Optional[StaircaseParams] = None
-
-
-def default_staircase() -> StaircaseParams:
-    global _STAIRCASE_DEFAULT
-    if _STAIRCASE_DEFAULT is None:
-        _STAIRCASE_DEFAULT = staircase_params(40)
-    return _STAIRCASE_DEFAULT
-
-
-def staircase_eval(x, params: Optional[StaircaseParams] = None):
+def staircase_eval(x):
     """Evaluate the staircase mapping at points of shape ``(..., 2)``.
 
     Zero on the left half-plane; on the segment ``a[m-1] <= x1 <= a[m]`` the
     image walks the precomputed partial sum plus the fractional step along
     ``K_m w_m``.  The output is independent of the second coordinate.
-    Raises ``SequenceOverflow`` beyond the configured cap.
+    Raises ``SequenceOverflow`` beyond the segment cap.
     """
-    p = params if params is not None else default_staircase()
+    p = default_staircase()
     pts = np.asarray(x, dtype=float)
     x1 = pts[..., 0]
     if np.any(x1 > p.a[p.cap]):
@@ -511,7 +517,7 @@ def staircase_eval(x, params: Optional[StaircaseParams] = None):
     return np.where((idx == 0)[..., None], 0.0, vals)
 
 
-def staircase_witnesses(n: int, params: Optional[StaircaseParams] = None):
+def staircase_witnesses(n: int):
     """Witness pair ``x_n = (a_n, 0)``, ``y_n = (a_{n-1}, 0)`` together with
     the squared-norm gap ``d_n`` and the displacement gap norm ``g_n``.
 
@@ -521,7 +527,7 @@ def staircase_witnesses(n: int, params: Optional[StaircaseParams] = None):
     float64 evaluation of ``|x-y|^2 - |Tx-Ty|^2`` underflows to zero for
     ``n >~ 13`` while the true value is ``4^{-n}``.
     """
-    p = params if params is not None else default_staircase()
+    p = default_staircase()
     if n < 1:
         raise DomainError("witness index must be >= 1")
     if n > p.cap:
@@ -537,18 +543,12 @@ def staircase_witnesses(n: int, params: Optional[StaircaseParams] = None):
     return x, y, d, g
 
 
-def staircase_witness_family(params: Optional[StaircaseParams] = None) -> WitnessFamily:
-    p = params if params is not None else default_staircase()
-
+def staircase_witness_family() -> WitnessFamily:
     def gen(n: int):
-        x, y, _, _ = staircase_witnesses(n, p)
+        x, y, _, _ = staircase_witnesses(n)
         return x, y
 
-    return WitnessFamily(
-        name="staircase-ssne",
-        generator=gen,
-        n_cap=p.cap,
-    )
+    return WitnessFamily(name="staircase-ssne", generator=gen, n_cap=default_staircase().cap)
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +558,20 @@ def staircase_witness_family(params: Optional[StaircaseParams] = None) -> Witnes
 
 @dataclass(frozen=True)
 class GalleryEntry:
+    """A registry entry.  ``makers`` maps each kind the entry exposes
+    (``operator``, ``map``, ``function``, ``witnesses``), in listing order,
+    to its builder: ``dim -> MonotoneOperator`` or ``dim -> NonexpansiveMap``,
+    ``() -> FunctionEntry`` or ``() -> WitnessFamily``."""
+
     name: str
-    kinds: Tuple[str, ...]
     default_dim: int
     parametric_dim: bool
     summary: str
-    make_operator: Optional[Callable[[int], MonotoneOperator]] = field(
-        default=None, repr=False
-    )
-    make_map: Optional[Callable[[int], NonexpansiveMap]] = field(default=None, repr=False)
-    make_function: Optional[Callable[[], FunctionEntry]] = field(default=None, repr=False)
-    make_witnesses: Optional[Callable] = field(default=None, repr=False)
+    makers: Mapping[str, Callable] = field(repr=False)
+
+    @property
+    def kinds(self) -> Tuple[str, ...]:
+        return tuple(self.makers)
 
 
 def _cube(x):
@@ -734,118 +737,104 @@ def _register(entry: GalleryEntry):
 _register(
     GalleryEntry(
         name="cubic",
-        kinds=("operator", "function"),
         default_dim=1,
         parametric_dim=False,
         summary="x -> x^3 with Cardano resolvent; uniformly monotone, inverse is not",
-        make_operator=_op_cubic,
-        make_function=_fn_cubic,
+        makers={"operator": _op_cubic, "function": _fn_cubic},
     )
 )
 _register(
     GalleryEntry(
         name="normal-cone-zero",
-        kinds=("operator",),
         default_dim=1,
         parametric_dim=True,
         summary="normal cone of {0}: resolvent == 0, reflected resolvent == -Id",
-        make_operator=_op_normal_cone_zero,
+        makers={"operator": _op_normal_cone_zero},
     )
 )
 _register(
     GalleryEntry(
         name="zero",
-        kinds=("operator",),
         default_dim=1,
         parametric_dim=True,
         summary="zero operator: resolvent == Id, reflected resolvent == Id",
-        make_operator=_op_zero,
+        makers={"operator": _op_zero},
     )
 )
 _register(
     GalleryEntry(
         name="identity",
-        kinds=("operator",),
         default_dim=1,
         parametric_dim=True,
         summary="identity operator: 1-strongly monotone and 1-cocoercive",
-        make_operator=_op_identity,
+        makers={"operator": _op_identity},
     )
 )
 _register(
     GalleryEntry(
         name="rotator",
-        kinds=("operator", "map"),
         default_dim=2,
         parametric_dim=False,
         summary="quarter-turn rotation: isometry, monotone but not uniformly",
-        make_operator=_op_rotator,
-        make_map=_map_rotator,
+        makers={"operator": _op_rotator, "map": _map_rotator},
     )
 )
 _register(
     GalleryEntry(
         name="staircase",
-        kinds=("map", "operator", "witnesses"),
         default_dim=2,
         parametric_dim=False,
         summary="piecewise-linear staircase: strongly nonexpansive, not super strongly",
-        make_operator=_op_staircase,
-        make_map=_map_staircase,
-        make_witnesses=staircase_witness_family,
+        makers={
+            "map": _map_staircase,
+            "operator": _op_staircase,
+            "witnesses": staircase_witness_family,
+        },
     )
 )
 _register(
     GalleryEntry(
         name="clamp-sin-map",
-        kinds=("map",),
         default_dim=1,
         parametric_dim=False,
         summary="clamped sine: contraction for large distances, not Banach",
-        make_map=_map_clamp_sin,
+        makers={"map": _map_clamp_sin},
     )
 )
 _register(
     GalleryEntry(
         name="clamp-sin-op",
-        kinds=("operator", "function"),
         default_dim=1,
         parametric_dim=False,
         summary="operator with reflected resolvent -clamp_sin; self-dually uniformly monotone",
-        make_operator=_op_clamp_sin,
-        make_function=_fn_clamp_sin,
+        makers={"operator": _op_clamp_sin, "function": _fn_clamp_sin},
     )
 )
 _register(
     GalleryEntry(
         name="quartic-mixed",
-        kinds=("operator", "function"),
         default_dim=1,
         parametric_dim=False,
         summary="piecewise quartic/sqrt derivative: uniformly but not strongly monotone",
-        make_operator=_op_quartic,
-        make_function=_fn_quartic,
+        makers={"operator": _op_quartic, "function": _fn_quartic},
     )
 )
 _register(
     GalleryEntry(
         name="cone-subdiff",
-        kinds=("witnesses",),
         default_dim=2,
         parametric_dim=False,
         summary="cone-restricted quadratic subdifferential: coercive, growth condition fails",
-        make_witnesses=lambda: cone_subdiff_witnesses,
+        makers={"witnesses": cone_subdiff_witness_family},
     )
 )
 _register(
     GalleryEntry(
         name="shift",
-        kinds=("map", "operator"),
         default_dim=256,
         parametric_dim=True,
         summary="truncated right shift; operator realized through J = (Id - R)/2",
-        make_map=_map_shift,
-        make_operator=_op_shift,
+        makers={"map": _map_shift, "operator": _op_shift},
     )
 )
 
@@ -875,29 +864,26 @@ def dimension(name: str, dim: Optional[int] = None) -> int:
     return dim
 
 
+def _maker(name: str, kind: str, noun: str) -> Callable:
+    """The entry's builder of ``kind``; ``UnsupportedOperator`` naming the
+    ``noun`` when the entry exposes none."""
+    make = entry(name).makers.get(kind)
+    if make is None:
+        raise UnsupportedOperator(f"gallery entry {name!r} exposes no {noun}")
+    return make
+
+
 def operator(name: str, dim: Optional[int] = None) -> MonotoneOperator:
-    e = entry(name)
-    if e.make_operator is None:
-        raise UnsupportedOperator(f"gallery entry {name!r} exposes no operator")
-    return e.make_operator(dimension(name, dim))
+    return _maker(name, "operator", "operator")(dimension(name, dim))
 
 
 def mapping(name: str, dim: Optional[int] = None) -> NonexpansiveMap:
-    e = entry(name)
-    if e.make_map is None:
-        raise UnsupportedOperator(f"gallery entry {name!r} exposes no mapping")
-    return e.make_map(dimension(name, dim))
+    return _maker(name, "map", "mapping")(dimension(name, dim))
 
 
 def function(name: str) -> FunctionEntry:
-    e = entry(name)
-    if e.make_function is None:
-        raise UnsupportedOperator(f"gallery entry {name!r} exposes no function")
-    return e.make_function()
+    return _maker(name, "function", "function")()
 
 
-def witnesses(name: str):
-    e = entry(name)
-    if e.make_witnesses is None:
-        raise UnsupportedOperator(f"gallery entry {name!r} exposes no witnesses")
-    return e.make_witnesses()
+def witnesses(name: str) -> WitnessFamily:
+    return _maker(name, "witnesses", "witnesses")()

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import MonotoneOperator, NonexpansiveMap, as_point
 from .combine import dr_operator, fb_operator, pr_operator
-from .exceptions import DimensionMismatch, DomainError
+from .exceptions import DomainError
 
 TERM_CONVERGED = "converged"
 TERM_MAX_ITER = "max-iter"
@@ -27,6 +27,9 @@ TERM_DIVERGED = "diverged"
 
 # Detection threshold for the flagged period-2 pattern.
 PERIOD2_TOL = 1e-12
+
+# Rise of a distance that the Fejer audit still counts as nonincreasing.
+FEJER_SLACK = 1e-12
 
 # Fields converted to Python floats at a time when writing a trace CSV.
 CSV_BLOCK_VALUES = 4096
@@ -53,8 +56,8 @@ class IterationTrace:
 
     ``iterates`` has shape ``(n_steps + 1, dim)``; ``residuals[n]`` is
     ``|x_{n+1} - x_n|`` (one entry per step taken).  ``shadows`` mirror the
-    iterates when a shadow map was supplied.  ``weak_probes`` holds the
-    probed coordinates of each iterate.
+    iterates when a shadow map was supplied.  ``weak_probes`` reads the
+    ``probe_coords`` columns of the iterates.
     """
 
     iterates: np.ndarray
@@ -62,10 +65,8 @@ class IterationTrace:
     termination: str
     shadows: Optional[np.ndarray] = None
     distances_to_ref: Optional[np.ndarray] = None
-    weak_probes: Optional[np.ndarray] = None
     probe_coords: Tuple[int, ...] = ()
     period2: bool = False
-    name: str = "iterate"
 
     @property
     def n_steps(self) -> int:
@@ -78,6 +79,10 @@ class IterationTrace:
     @property
     def final_shadow(self) -> Optional[np.ndarray]:
         return None if self.shadows is None else self.shadows[-1]
+
+    @property
+    def weak_probes(self) -> Optional[np.ndarray]:
+        return self.iterates[:, list(self.probe_coords)] if self.probe_coords else None
 
     def write_csv(self, path, config: Optional[dict] = None):
         """Write the trace as CSV: one row per iterate, floats with 17
@@ -100,8 +105,9 @@ class IterationTrace:
         if self.distances_to_ref is not None:
             header.append("dist_ref")
             columns.append(self.distances_to_ref)
-        header += [f"probe_{k}" for k in self.probe_coords]
-        columns.append(self.iterates[:, list(self.probe_coords)])
+        if self.probe_coords:
+            header += [f"probe_{k}" for k in self.probe_coords]
+            columns.append(self.weak_probes)
         fields = ["%d"] + ["%.17g"] * (len(header) - 1)
         row = ",".join(fields) + "\r\n"
         fields[res_col] = "%.0s"
@@ -138,8 +144,7 @@ def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: f
 
 def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = StoppingRule(),
             *, shadow: Optional[Callable] = None, ref=None,
-            probe_coords: Optional[Sequence[int]] = None,
-            name: str = "iterate") -> IterationTrace:
+            probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Run ``x_{n+1} = T(x_n)`` until a stopping condition fires.
 
     ``shadow`` (when given) is called once, on the stacked iterates of shape
@@ -150,6 +155,10 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     """
     ev = T.eval if isinstance(T, NonexpansiveMap) else T
     x = as_point(x0, dim=T.dim if isinstance(T, NonexpansiveMap) else None)
+    probes = tuple(int(k) for k in probe_coords) if probe_coords is not None else ()
+    # weak_probes reads these columns later, so a bad one fails here
+    if not all(0 <= k < x.size for k in probes):
+        raise DomainError(f"probe coordinates must lie in 0..{x.size - 1}")
     xs = [x]
     residuals = []
     termination = TERM_MAX_ITER
@@ -177,8 +186,6 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     if ref is not None:
         refp = as_point(ref, dim=iterates.shape[1])
         dists = np.linalg.norm(iterates - refp, axis=1)
-    probes = tuple(int(k) for k in probe_coords) if probe_coords is not None else ()
-    weak = iterates[:, list(probes)] if probes else None
     period2 = termination != TERM_CONVERGED and _detect_period2(
         iterates, residuals, stop.tol_residual
     )
@@ -188,10 +195,8 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
         termination=termination,
         shadows=shadows,
         distances_to_ref=dists,
-        weak_probes=weak,
         probe_coords=probes,
         period2=period2,
-        name=name,
     )
 
 
@@ -199,30 +204,23 @@ def peaceman_rachford(A: MonotoneOperator, B: MonotoneOperator, x0,
                       stop: StoppingRule = StoppingRule(), *, ref=None,
                       probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = R_B R_A`` recording shadows ``y_n = J_A(x_n)``."""
-    T = pr_operator(A, B)
-    return iterate(
-        T, x0, stop, shadow=A.resolvent, ref=ref, probe_coords=probe_coords,
-        name=T.name,
-    )
+    return iterate(pr_operator(A, B), x0, stop, shadow=A.resolvent, ref=ref,
+                   probe_coords=probe_coords)
 
 
 def douglas_rachford(A: MonotoneOperator, B: MonotoneOperator, x0,
                      stop: StoppingRule = StoppingRule(), *, ref=None,
                      probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = (Id + R_B R_A)/2`` recording shadows ``y_n = J_A(x_n)``."""
-    T = dr_operator(A, B)
-    return iterate(
-        T, x0, stop, shadow=A.resolvent, ref=ref, probe_coords=probe_coords,
-        name=T.name,
-    )
+    return iterate(dr_operator(A, B), x0, stop, shadow=A.resolvent, ref=ref,
+                   probe_coords=probe_coords)
 
 
 def forward_backward(A: MonotoneOperator, B: MonotoneOperator, gamma: float, x0,
                      stop: StoppingRule = StoppingRule(), *, ref=None,
                      probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = J_{gamma B}(Id - gamma A)`` (primal iterates only)."""
-    T = fb_operator(A, B, gamma)
-    return iterate(T, x0, stop, ref=ref, probe_coords=probe_coords, name=T.name)
+    return iterate(fb_operator(A, B, gamma), x0, stop, ref=ref, probe_coords=probe_coords)
 
 
 @dataclass
@@ -232,20 +230,18 @@ class FejerReport:
     distances: np.ndarray
     nonincreasing: bool
     first_violation: Optional[int]
-    slack: float = PERIOD2_TOL
 
 
-def fejer_check(trace: IterationTrace, xbar, slack: float = 1e-12) -> FejerReport:
-    """Verify ``|x_n - xbar|`` is nonincreasing within ``slack``; report the
-    first violating index otherwise."""
+def fejer_check(trace: IterationTrace, xbar) -> FejerReport:
+    """Verify ``|x_n - xbar|`` is nonincreasing within ``FEJER_SLACK``;
+    report the first violating index otherwise."""
     if len(trace.iterates) == 0:
         raise DomainError("empty trace")
     ref = as_point(xbar, dim=trace.iterates.shape[1])
     d = np.linalg.norm(trace.iterates - ref, axis=1)
-    bad = np.nonzero(d[1:] > d[:-1] + slack)[0]
+    bad = np.nonzero(d[1:] > d[:-1] + FEJER_SLACK)[0]
     return FejerReport(
         distances=d,
         nonincreasing=bad.size == 0,
         first_violation=int(bad[0]) if bad.size else None,
-        slack=slack,
     )

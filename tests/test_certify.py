@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -339,14 +341,26 @@ def test_check_growth():
     assert rep.estimates[0]["value"] == pytest.approx(1.0, abs=1e-12)
     # cubic on antipodal pairs: ratio grows like dist^2 / 4
     zc = np.linspace(0.5, 4.0, 200)
-    gc1 = core.minty_sample(gallery.operator("cubic"), zc + zc**3)
-    gc2 = core.minty_sample(gallery.operator("cubic"), -(zc + zc**3))
+    gc1 = core.minty_sample(gallery.operator("cubic"), (zc + zc**3).reshape(-1, 1))
+    gc2 = core.minty_sample(gallery.operator("cubic"), -(zc + zc**3).reshape(-1, 1))
     rows = [a.reshape(-1, 1) for a in (*gc1, *gc2)]
     dist, ratios = certify.CLASSES["growth-condition"].statistic(*rows, {})
     assert np.allclose(ratios, dist**2 / 4.0, rtol=1e-8)
     # the estimate is the smallest ratio of the largest-separation decile
     top = np.argsort(dist)[-20:]
     assert certify.check_growth((gc1, gc2)).estimates[0]["value"] == np.min(ratios[top])
+
+
+def test_graph_checks_take_batches_of_shape_n_dim():
+    # one pair of 2-D graph points passed bare is not a batch of scalars
+    with pytest.raises(DomainError, match=r"\(n, dim\)"):
+        certify.check_growth(gallery.cone_subdiff_witnesses(3))
+    with pytest.raises(DomainError, match=r"\(n, dim\)"):
+        certify.check_coercive(gallery.cone_subdiff_witnesses(3)[0])
+    # in a list it is a pair of the graph, and its witness is that pair
+    rep = certify.check_growth([gallery.cone_subdiff_witnesses(3)])
+    assert rep.verdict == REFUTED
+    assert rep.witness == [[3.0, 0.0], [6.0, 0.0], [3.0, 3.0], [6.0, 0.0]]
 
 
 def test_check_coercive():
@@ -494,6 +508,76 @@ def test_traced_names_are_certify_attributes():
     assert "check_lemma_3_5" in traced
     for name in (*traced, "pair_batches", "_ring_pair_batches", "minty_sample"):
         assert callable(getattr(certify, name, None)), name
+
+
+# What the benchmark's tracer patches outside mosk.certify, each with the
+# leading parameters of its signature (the tracer's counters read arguments
+# by position).
+TRACED_OUTSIDE_CERTIFY = {
+    "core.solve_increasing": ("fun", "target"),
+    "core.minty_sample": ("A", "z"),
+    "core.scale": ("A", "gamma"),
+    "combine.scale": ("A", "gamma"),
+    "gallery.solve_increasing": ("fun", "target"),
+    "gallery.operator": ("name", "dim"),
+    "gallery.mapping": ("name", "dim"),
+    "gallery.fenchel_conjugate_1d": ("entry", "xstar"),
+    "gallery.clamp_sin_operator_eval": ("x",),
+    "gallery.h_value": ("s",),
+    "gallery.ScalarInverseSolver.solve": ("self", "value"),
+    "split.pr_operator": ("A", "B"),
+    "split.dr_operator": ("A", "B"),
+    "split.fb_operator": ("A", "B", "gamma"),
+    "split.iterate": ("T", "x0", "stop"),
+    "split.IterationTrace.write_csv": ("self", "path", "config"),
+    "cli.main": ("argv",),
+    "cli._write_json": ("path", "payload"),
+    "cli.minty_sample": ("A", "z"),
+}
+
+
+def _tracer_patches() -> set:
+    """``owner.attribute`` of every ``_patch`` call in the benchmark's tracer,
+    with the tuples its ``for`` loops run over substituted."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    tuples = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+              for t in node.targets if isinstance(t, ast.Name)}
+    found = set()
+
+    def visit(node, env):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            it = node.iter
+            values = (tuples[it.id] if isinstance(it, ast.Name)
+                      else [getattr(e, "id", getattr(e, "value", None)) for e in it.elts])
+            for value in values:
+                for child in node.body:
+                    visit(child, {**env, node.target.id: value})
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_patch"):
+            owner, attr = node.args[0], node.args[1]
+            owner = env.get(owner.id, owner.id) if isinstance(owner, ast.Name) else ast.unparse(owner)
+            attr = env[attr.id] if isinstance(attr, ast.Name) else attr.value
+            found.add(f"{owner}.{attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, env)
+
+    visit(tree, {})
+    return found
+
+
+def test_traced_names_outside_certify_keep_their_signatures():
+    patched = {name for name in _tracer_patches() if not name.startswith("certify.")}
+    assert patched == set(TRACED_OUTSIDE_CERTIFY)
+    for name, leading in TRACED_OUTSIDE_CERTIFY.items():
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"mosk.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        params = tuple(inspect.signature(obj).parameters)
+        assert params[:len(leading)] == leading, name
 
 
 def test_statistics_run_only_in_the_engine_and_replay():

@@ -189,7 +189,7 @@ def test_selfdual_config_records_probes(tmp_path):
     assert configs[0] != configs[1]
 
 
-def test_usage_errors_exit1(monkeypatch, capsys):
+def test_usage_errors_exit1(monkeypatch, capsys, tmp_path):
     assert main(["certify", "--op", "cubic"]) == 1  # missing --class
     assert main(["bogus-command"]) == 1
     # unknown gallery identifiers are configuration errors
@@ -215,6 +215,12 @@ def test_usage_errors_exit1(monkeypatch, capsys):
         assert main(["certify", "--op", "cubic", "--class", "nonexpansive", box]) == 1
     assert main(["split", "--algo", "pr", "--opA", "zero", "--opB", "zero", "--x0", "1",
                  "--tol", "nan"]) == 1
+    # a float option the trace's config line echoes must be finite
+    for option in ("--gamma=nan", "--tol=inf"):
+        out = tmp_path / "s.csv"
+        assert main(["split", "--algo", "pr", "--opA", "cubic", "--opB", "zero", "--x0", "3",
+                     option, "--out", str(out)]) == 1
+        assert not out.exists()
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
@@ -226,6 +232,7 @@ def test_usage_errors_exit1(monkeypatch, capsys):
     assert "error: eps_list must be positive and finite" in err
     assert err.count("error: need finite box bounds") == 2
     assert "error: tol_residual must be >= 0" in err
+    assert "error: gamma must be finite" in err and "error: tol must be finite" in err
     assert "numerical failure" not in err
 
 
@@ -370,7 +377,7 @@ def test_certify_matrix_witnesses_replay(klass, tmp_path, capsys):
             continue
         target = cli._target(spec.target, op, None)
         cfg = cert.SamplerConfig.symmetric(3, 1000, gallery.dimension(op, None), 50.0)
-        c = spec.run(target, cfg, alpha=0.5, t=cli.PROBES, eps=cli.PROBES,
+        c = spec.run(target, cfg, alpha=0.5, t=cert.PROBES, eps=cert.PROBES,
                      families=cli._own_families(op))
         payload = _strict_json(out.read_text())["certificate"]
         assert payload == json.loads(json.dumps(c.to_json_dict())), op

@@ -166,7 +166,7 @@ def test_fixed_point_identity():
     ],
 )
 def test_solve_scalar_monotone_examples(a, x, expected):
-    y = core.solve_scalar_monotone(a, x, tol=1e-11)
+    y = core.solve_scalar_monotone(a, x)
     assert y == pytest.approx(expected, abs=1e-9)
 
 
@@ -178,13 +178,8 @@ def test_solve_scalar_monotone_examples(a, x, expected):
 )
 def test_solve_scalar_monotone_residual_property(x, c1, c3):
     a = lambda t: c1 * t + c3 * t**3
-    y = core.solve_scalar_monotone(a, x, tol=1e-10)
+    y = core.solve_scalar_monotone(a, x)
     assert abs(y + a(y) - x) <= 1e-10
-
-
-def test_solve_scalar_monotone_rejects_bad_tol():
-    with pytest.raises(DomainError):
-        core.solve_scalar_monotone(lambda t: t, 1.0, tol=0.0)
 
 
 def test_scale_examples():

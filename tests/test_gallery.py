@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mosk import gallery
+from mosk.core import WitnessFamily
 from mosk.exceptions import DomainError, SequenceOverflow, UnsupportedOperator
 
 
@@ -243,11 +244,11 @@ def test_cubic_resolvent_identity_grid():
 def test_cubic_matches_root_finder():
     # dual route: Cardano closed form against the root finder, bisecting
     # and taking Newton steps on the derivative
-    from mosk.core import solve_increasing, solve_scalar_monotone
+    from mosk.core import solve_increasing
 
     x = np.linspace(-1000.0, 1000.0, 10_000)
     closed = gallery.cubic_resolvent(x)
-    rooted = solve_scalar_monotone(lambda t: t**3, x, tol=1e-12)
+    rooted = solve_increasing(lambda t: t + t**3, x, tol=1e-12, center=x)
     assert np.max(np.abs(closed - rooted)) <= 1e-9
     calls = []
 
@@ -551,3 +552,32 @@ def test_registry_contract():
     fam = gallery.witnesses("staircase")
     x, y = fam.generator(3)
     assert x[0] == gallery.default_staircase().a[3]
+    assert isinstance(fam, WitnessFamily)
+    assert (fam.name, fam.n_cap) == ("staircase-ssne", gallery.default_staircase().cap)
+    cone = gallery.witnesses("cone-subdiff")
+    assert isinstance(cone, WitnessFamily)
+    assert (cone.name, cone.n_cap) == ("cone-subdiff-growth", 200)
+    assert cone.generator is gallery.cone_subdiff_witnesses
+    # `mosk gallery` lists the kinds in makers order
+    assert gallery.entry("staircase").kinds == ("map", "operator", "witnesses")
+
+
+ACCESSORS = {
+    "operator": gallery.operator,
+    "map": gallery.mapping,
+    "function": gallery.function,
+    "witnesses": gallery.witnesses,
+}
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_each_listed_kind_builds_and_no_other(name):
+    kinds = gallery.entry(name).kinds
+    assert kinds and set(kinds) <= set(ACCESSORS)
+    for kind, access in ACCESSORS.items():
+        if kind in kinds:
+            assert access(name) is not None
+        else:
+            with pytest.raises(UnsupportedOperator, match="exposes no"):
+                access(name)
+

@@ -199,6 +199,11 @@ def test_weak_probe_columns(tmp_path):
     tr.write_csv(path)
     header = path.read_text().splitlines()[0].split(",")
     assert "probe_0" in header and "probe_1" in header
+    # the probes are the iterates' probed columns, and no probes give None
+    assert np.array_equal(tr.weak_probes, tr.iterates[:, [0, 1]])
+    assert split.peaceman_rachford(A, B, x0, split.StoppingRule(max_iter=40)).weak_probes is None
+    with pytest.raises(DomainError):
+        split.peaceman_rachford(A, B, x0, split.StoppingRule(max_iter=40), probe_coords=[N])
 
 
 def _reference_write_csv(trace, path, config=None):
@@ -286,7 +291,7 @@ def _same_bits(a, b):
 def _shadow_operators():
     ops = {}
     for name in gallery.names():
-        if gallery.entry(name).make_operator is None:
+        if "operator" not in gallery.entry(name).kinds:
             continue
         dim = 8 if gallery.entry(name).parametric_dim else None
         A = gallery.operator(name, dim)
