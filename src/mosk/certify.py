@@ -122,44 +122,56 @@ class SamplerConfig:
 
 
 def _unit_dirs(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    if d == 1:
-        return rng.choice(np.array([-1.0, 1.0]), size=(n, 1))
+    if d == 1:  # the draws of rng.choice([-1.0, 1.0], size=(n, 1))
+        return rng.integers(0, 2, size=(n, 1)) * 2.0 - 1.0
     v = rng.standard_normal((n, d))
-    nrm = np.linalg.norm(v, axis=1, keepdims=True)
-    return v / np.maximum(nrm, 1e-300)
+    v /= np.maximum(_norm(v), 1e-300)[:, None]
+    return v
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Fill ``out`` with ``rng.uniform(lo, hi, out.shape)`` bit for bit: the
+    same draws in C order, scaled in place as ``lo + (hi - lo) * r``."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
+def _cycle(ladder: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` entries of ``ladder`` repeated."""
+    return np.tile(ladder, -(-m // ladder.size))[:m]
 
 
 def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] = None):
     """Draw the configured mix of point pairs; returns ``(X, Y)`` of shape
     ``(n, dim)`` each."""
     rng = np.random.default_rng(cfg.seed)
-    d = cfg.dim
+    lo, hi = cfg.box_low, cfg.box_high
     k = len(STRATEGIES)
     counts = [cfg.sample_count // k] * k
     counts[0] += cfg.sample_count - sum(counts)
     if shell_distances is None or len(shell_distances) == 0:
-        diam = float(np.linalg.norm(cfg.box_high - cfg.box_low))
+        diam = float(np.linalg.norm(hi - lo))
         ladder = diam * 2.0 ** (-np.arange(8.0))
     else:
         ladder = np.asarray(sorted(shell_distances), dtype=float)
-    xs, ys = [], []
+    X, Y = np.empty((cfg.sample_count, cfg.dim)), np.empty((cfg.sample_count, cfg.dim))
+    end = 0
     for strat, m in zip(STRATEGIES, counts):
         if m <= 0:
             continue
+        rows = slice(end, end + m)
+        end += m
+        x, y = X[rows], Y[rows]
+        _uniform(rng, x, lo, hi)
         if strat == "independent":
-            xs.append(rng.uniform(cfg.box_low, cfg.box_high, size=(m, d)))
-            ys.append(rng.uniform(cfg.box_low, cfg.box_high, size=(m, d)))
+            _uniform(rng, y, lo, hi)
         elif strat == "antithetic":
-            x = rng.uniform(cfg.box_low, cfg.box_high, size=(m, d))
-            xs.append(x)
-            ys.append(-x)
-        else:  # radial-shells
-            x = rng.uniform(cfg.box_low, cfg.box_high, size=(m, d))
-            dirs = _unit_dirs(rng, m, d)
-            t = np.resize(ladder, m)
-            xs.append(x)
-            ys.append(x + t[:, None] * dirs)
-    return np.concatenate(xs), np.concatenate(ys)
+            np.negative(x, out=y)
+        else:  # radial-shells: y = x + t * dir
+            np.multiply(_unit_dirs(rng, m, cfg.dim), _cycle(ladder, m)[:, None], out=y)
+            y += x
+    return X, Y
 
 
 def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples):
@@ -172,14 +184,16 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
         if smax < dist_floor:
             rings.append((r, None, None))
             continue
-        dirs = _unit_dirs(rng, ring_samples, dim)
-        radius = r * (1.0 + rng.random(ring_samples))
-        x = dirs * radius[:, None]
-        dirs2 = _unit_dirs(rng, ring_samples, dim)
+        x = _unit_dirs(rng, ring_samples, dim)
+        radius = rng.random(ring_samples)
+        radius += 1.0
+        radius *= r
+        x *= radius[:, None]
+        y = _unit_dirs(rng, ring_samples, dim)
         n_lad = int(np.floor(np.log2(smax / dist_floor))) + 1
-        lad = dist_floor * 2.0 ** np.arange(n_lad)
-        s = np.resize(lad, ring_samples)
-        rings.append((r, x, x + s[:, None] * dirs2))
+        y *= _cycle(dist_floor * 2.0 ** np.arange(n_lad), ring_samples)[:, None]
+        y += x
+        rings.append((r, x, y))
     return rings
 
 
@@ -269,14 +283,37 @@ def _points(*arrays) -> list:
 # and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
 
 
+def _rowsum(p):
+    """``np.sum(p, axis=1)`` bit for bit.  Below 8 columns numpy adds a
+    row's entries in order onto 0.0, and from 8 up it sums them pairwise;
+    the column adds give the in-order sum without numpy's per-row loop."""
+    d = p.shape[1]
+    if not 0 < d < 8:
+        return np.sum(p, axis=1)
+    out = p[:, 0] + 0.0  # onto 0.0, as numpy does: -0.0 becomes 0.0
+    for j in range(1, d):
+        out += p[:, j]
+    return out
+
+
 def _sq(a):
-    return np.sum(a**2, axis=1)
+    return _rowsum(a * a)
+
+
+def _dot(a, b):
+    return _rowsum(a * b)
+
+
+def _norm(a):
+    """``np.linalg.norm(a, axis=1)`` bit for bit: the root of the row sum of
+    squares."""
+    return np.sqrt(_sq(a))
 
 
 def _ratio(x, u, y, v, params):
     """``|u - v| / |x - y|``: Lipschitz ratio of a map, growth ratio of a graph."""
-    dist = np.linalg.norm(x - y, axis=1)
-    return dist, np.linalg.norm(u - v, axis=1) / dist
+    dist = _norm(x - y)
+    return dist, _norm(u - v) / dist
 
 
 def _firm(x, u, y, v, params):
@@ -294,22 +331,22 @@ def _averaged(x, u, y, v, params):
 def _product(x, u, y, v, params):
     """The monotonicity product ``<x-y, u-v>``."""
     dx = x - y
-    return np.linalg.norm(dx, axis=1), np.sum(dx * (u - v), axis=1)
+    return _norm(dx), _dot(dx, u - v)
 
 
 def _sigma(x, u, y, v, params):
     """The strong-monotonicity ratio ``<x-y, u-v> / |x-y|^2``."""
     dx = x - y
-    d2 = np.sum(dx * dx, axis=1)
-    return np.sqrt(d2), np.sum(dx * (u - v), axis=1) / d2
+    d2 = _sq(dx)
+    return np.sqrt(d2), _dot(dx, u - v) / d2
 
 
 def _slope(x, u, y, v, params):
     """``<x-y, u-v> / |x-y|``; against ``(y, v) = (0, 0)`` the coercivity
     value ``<x, x*> / |x|``."""
     dx = x - y
-    dist = np.linalg.norm(dx, axis=1)
-    return dist, np.sum(dx * (u - v), axis=1) / dist
+    dist = _norm(dx)
+    return dist, _dot(dx, u - v) / dist
 
 
 def _reflected_modulus(x, u, y, v, params):
@@ -317,19 +354,19 @@ def _reflected_modulus(x, u, y, v, params):
     ``v = J y`` and ``R = 2 J - Id``, with ``phi`` the :class:`Modulus`
     whose fields ``params["phi"]`` holds."""
     d2 = _sq(x - y)
-    phi = Modulus(**params["phi"]).value(np.linalg.norm(u - v, axis=1))
+    phi = Modulus(**params["phi"]).value(_norm(u - v))
     return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
 
 
 def _sne(x, u, y, v, params):
     """The strong-nonexpansiveness premise ``|x-y| - |u-v|``, ``u = Tx``."""
-    b = np.linalg.norm(x - y, axis=1)
-    return b, b - np.linalg.norm(u - v, axis=1)
+    b = _norm(x - y)
+    return b, b - _norm(u - v)
 
 
 def _ssne(x, u, y, v, params):
     """The super-strong premise ``|x-y|^2 - |u-v|^2``, ``u = Tx``."""
-    b, tb = np.linalg.norm(x - y, axis=1), np.linalg.norm(u - v, axis=1)
+    b, tb = _norm(x - y), _norm(u - v)
     return b, b * b - tb * tb
 
 
@@ -746,7 +783,7 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     if ns.size == 0:
         raise DomainError(f"family {family.name!r} has no pair with x_n != y_n")
     b, premise = batch.dist, batch.value
-    gap = np.linalg.norm((X - Y) - (TX - TY), axis=1)
+    gap = _norm((X - Y) - (TX - TY))
     scale = b if mode == "sne" else b * b
     tail = max(3, len(ns) // 4)
     bars = SEQ_DECAY_TOL + SEQ_PREMISE_ULPS * np.finfo(float).eps * scale[-tail:]

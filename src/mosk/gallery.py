@@ -148,9 +148,8 @@ def clamp_sin(x):
     Nonexpansive, not a Banach contraction, yet a contraction for large
     distances.
     """
-    x = np.asarray(x, dtype=float)
-    inner = np.sin(np.clip(x, -HALF_PI, HALF_PI))
-    return np.where(x >= HALF_PI, 1.0, np.where(x <= -HALF_PI, -1.0, inner))
+    # sin(+/-HALF_PI) is exactly +/-1.0 in float64, so the clip saturates
+    return np.sin(np.clip(np.asarray(x, dtype=float), -HALF_PI, HALF_PI))
 
 
 def clamp_sin_operator_eval(x):
@@ -264,7 +263,7 @@ def cubic_resolvent(x):
     a2 = a * a
     t = a2 + 6.0
     y = 4.0 * u * a2 / (t * t + 108.0)
-    return np.where(big, np.cbrt(x), np.copysign(y, x))
+    return np.where(big, np.cbrt(x) if big.any() else 0.0, np.copysign(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +458,13 @@ class StaircaseParams:
     ``a[m] = 2^{m+1} - 2`` are the segment breakpoints, ``w[m]`` the unit
     directions with decreasing slope, ``K[m] = sqrt(4^m - 4^{-m})`` the
     segment rises, ``beta[m] = K[m]/2^m < 1`` the per-segment contraction
-    factors.  ``prefix[m]`` holds the compensated partial sums
-    ``sum_{j<=m} K_j w_j``.  Everything is precomputed up to ``cap`` and
-    read-only afterwards.
+    factors, ``pow2[m] = 2^m`` the segment lengths.  ``prefix[m]``
+    holds the compensated partial sums ``sum_{j<=m} K_j w_j``.  Everything
+    is precomputed up to ``cap`` and read-only afterwards.
     """
 
     cap: int
+    pow2: np.ndarray
     a: np.ndarray
     K: np.ndarray
     w: np.ndarray
@@ -492,7 +492,7 @@ def default_staircase() -> StaircaseParams:
     for mm in range(1, cap + 1):
         prefix[mm, 0] = math.fsum(kw[1 : mm + 1, 0])
         prefix[mm, 1] = math.fsum(kw[1 : mm + 1, 1])
-    return StaircaseParams(cap=cap, a=a, K=K, w=w, beta=beta, kw=kw, prefix=prefix)
+    return StaircaseParams(cap=cap, pow2=pow2, a=a, K=K, w=w, beta=beta, kw=kw, prefix=prefix)
 
 
 def staircase_eval(x):
@@ -501,7 +501,8 @@ def staircase_eval(x):
     Zero on the left half-plane; on the segment ``a[m-1] <= x1 <= a[m]`` the
     image walks the precomputed partial sum plus the fractional step along
     ``K_m w_m``.  The output is independent of the second coordinate.
-    Raises ``SequenceOverflow`` beyond the segment cap.
+    Raises ``SequenceOverflow`` beyond the segment cap; a NaN first
+    coordinate gives a NaN row.
     """
     p = default_staircase()
     pts = np.asarray(x, dtype=float)
@@ -511,9 +512,10 @@ def staircase_eval(x):
             f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}"
         )
     idx = np.searchsorted(p.a, x1, side="left")
-    safe = np.maximum(idx, 1)
-    frac = (x1 - p.a[safe - 1]) / 2.0**safe
-    vals = p.prefix[safe - 1] + frac[..., None] * p.kw[safe]
+    safe = np.clip(idx, 1, p.cap)  # searchsorted puts NaN past the last breakpoint
+    frac = (x1 - p.a.take(safe - 1)) / p.pow2.take(safe)
+    vals = p.prefix.take(safe - 1, axis=0)
+    vals += frac[..., None] * p.kw.take(safe, axis=0)
     return np.where((idx == 0)[..., None], 0.0, vals)
 
 
@@ -596,14 +598,14 @@ def _op_cubic(dim: int) -> MonotoneOperator:
 def _op_normal_cone_zero(dim: int) -> MonotoneOperator:
     return MonotoneOperator(
         dim=dim,
-        resolvent=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        resolvent=lambda x: np.zeros(np.shape(x)),
         name="normal-cone-zero",
         declared_properties={
             "maximally-monotone": None,
             "strongly-monotone": None,
             "uniformly-monotone": None,
         },
-        scaled_resolvent=lambda g: (lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+        scaled_resolvent=lambda g: (lambda x: np.zeros(np.shape(x))),
     )
 
 

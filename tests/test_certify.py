@@ -591,3 +591,134 @@ def test_statistics_run_only_in_the_engine_and_replay():
                     and node.func.attr == "statistic"):
                 callers.add(getattr(top, "name", "<module>"))
     assert callers == {"_measure", "replay"}
+
+
+# ---------------------------------------------------------------------------
+# The row kernels and the samplers against their numpy reference forms
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _extreme_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 301, size=(n, d))
+    p[::11] = -0.0                   # rows of -0.0 only
+    p[3::13, 0] = -0.0
+    p[5::17, -1] = np.inf
+    p[6::19, 0] = -np.inf
+    p[7::23, d // 2] = np.nan
+    p[8::29] = 1e300                 # sums that overflow
+    return p
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_rowsum_is_numpy_sum_bit_for_bit(d):
+    p = _extreme_rows(4000, d, seed=d)
+    q = _extreme_rows(4000, d, seed=100 + d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_bits(certify._rowsum(p)), _bits(np.sum(p, axis=1)))
+        f = np.asfortranarray(p)
+        assert np.array_equal(_bits(certify._rowsum(f)), _bits(np.sum(f, axis=1)))
+        assert np.array_equal(_bits(certify._sq(p)), _bits(np.sum(p**2, axis=1)))
+        assert np.array_equal(_bits(certify._dot(p, q)), _bits(np.sum(p * q, axis=1)))
+        assert np.array_equal(_bits(certify._norm(p)), _bits(np.linalg.norm(p, axis=1)))
+
+
+def _unit_dirs_reference(rng, n, d):
+    if d == 1:
+        return rng.choice(np.array([-1.0, 1.0]), size=(n, 1))
+    v = rng.standard_normal((n, d))
+    return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+
+
+def _pair_batches_reference(cfg, shell_distances=None):
+    # the uniform/resize/concatenate form the sampler replaced
+    rng = np.random.default_rng(cfg.seed)
+    d, k = cfg.dim, len(certify.STRATEGIES)
+    counts = [cfg.sample_count // k] * k
+    counts[0] += cfg.sample_count - sum(counts)
+    if shell_distances is None or len(shell_distances) == 0:
+        ladder = float(np.linalg.norm(cfg.box_high - cfg.box_low)) * 2.0 ** (-np.arange(8.0))
+    else:
+        ladder = np.asarray(sorted(shell_distances), dtype=float)
+    xs, ys = [], []
+    for strat, m in zip(certify.STRATEGIES, counts):
+        if m <= 0:
+            continue
+        x = rng.uniform(cfg.box_low, cfg.box_high, size=(m, d))
+        xs.append(x)
+        if strat == "independent":
+            ys.append(rng.uniform(cfg.box_low, cfg.box_high, size=(m, d)))
+        elif strat == "antithetic":
+            ys.append(-x)
+        else:
+            dirs = _unit_dirs_reference(rng, m, d)
+            ys.append(x + np.resize(ladder, m)[:, None] * dirs)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _ring_pair_batches_reference(rng, dim, dist_floor, ring_base, ring_count, ring_samples):
+    rings = []
+    for k in range(ring_count):
+        r = ring_base * 2.0**k
+        if 2.0 * r < dist_floor:
+            rings.append((r, None, None))
+            continue
+        dirs = _unit_dirs_reference(rng, ring_samples, dim)
+        x = dirs * (r * (1.0 + rng.random(ring_samples)))[:, None]
+        dirs2 = _unit_dirs_reference(rng, ring_samples, dim)
+        n_lad = int(np.floor(np.log2(2.0 * r / dist_floor))) + 1
+        s = np.resize(dist_floor * 2.0 ** np.arange(n_lad), ring_samples)
+        rings.append((r, x, x + s[:, None] * dirs2))
+    return rings
+
+
+def _boxes(d):
+    lo = -3.0 - 0.37 * np.arange(d)
+    hi = 1e-3 + 2.9 * np.arange(1, d + 1) ** 1.5
+    return [(np.full(d, -50.0), np.full(d, 50.0)), (lo, hi)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_pair_batches_match_the_uniform_reference(d):
+    for box, (lo, hi) in enumerate(_boxes(d)):
+        for n in (1, 2, 1001, 20_000):
+            cfg = SamplerConfig(seed=31 * d + box + n, sample_count=n, box_low=lo, box_high=hi)
+            for shells in (None, [0.5, 3.0, 0.1]):
+                X, Y = certify.pair_batches(cfg, shell_distances=shells)
+                Xr, Yr = _pair_batches_reference(cfg, shells)
+                assert np.array_equal(_bits(X), _bits(Xr)) and np.array_equal(_bits(Y), _bits(Yr))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_ring_pair_batches_match_the_resize_reference(d):
+    for floor, samples in ((0.5, 2048), (3.0, 1000), (1e3, 7)):
+        got = certify._ring_pair_batches(np.random.default_rng(d), d, floor, 1.0, 15, samples)
+        ref = _ring_pair_batches_reference(np.random.default_rng(d), d, floor, 1.0, 15, samples)
+        assert len(got) == len(ref)
+        for (r, x, y), (rr, xr, yr) in zip(got, ref):
+            assert r == rr
+            if xr is None:
+                assert x is None and y is None
+            else:
+                assert np.array_equal(_bits(x), _bits(xr)) and np.array_equal(_bits(y), _bits(yr))
+
+
+def test_row_reductions_only_in_rowsum_and_no_resize():
+    # np.sum / np.linalg.norm over rows loop per row in numpy; the row
+    # kernels are column adds (_rowsum), and np.resize is a slow cycle
+    tree = ast.parse(Path(certify.__file__).read_text())
+    bad = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = ast.unparse(node) if isinstance(node, ast.Attribute) else None
+            if name == "np.resize":
+                bad.append((node.lineno, name))
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.sum", "np.linalg.norm")
+                    and any(kw.arg == "axis" for kw in node.keywords)
+                    and getattr(top, "name", None) != "_rowsum"):
+                bad.append((node.lineno, ast.unparse(node.func)))
+    assert bad == []

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mosk import gallery
+from mosk import certify, gallery
 from mosk.core import WitnessFamily
-from mosk.exceptions import DomainError, SequenceOverflow, UnsupportedOperator
+from mosk.exceptions import DomainError, NumericalFailure, SequenceOverflow, UnsupportedOperator
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,21 @@ def test_staircase_overflow_guard():
         gallery.staircase_witnesses(0)
 
 
+def test_staircase_eval_non_finite_first_coordinate():
+    # NaN sorts past the last breakpoint; its row is NaN, so the engine's
+    # non-finite check refutes nothing on it
+    got = gallery.staircase_eval(np.array([[np.nan, 0.0], [-np.inf, 1.0], [2.0, 0.0]]))
+    assert np.isnan(got[0]).all()
+    assert np.array_equal(got[1], [0.0, 0.0])
+    assert np.array_equal(got[2], gallery.staircase_eval([2.0, 0.0]))
+    with pytest.raises(SequenceOverflow):
+        gallery.staircase_eval(np.array([[np.inf, 0.0]]))
+    x, y = np.array([[np.nan, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [3.0, 0.0]])
+    T = gallery.staircase_eval
+    with pytest.raises(NumericalFailure):
+        certify._measure("nonexpansive", (x, T(x), y, T(y)), False)
+
+
 def test_staircase_witnesses_match_mp_oracle():
     # d_n evaluated literally at 60 digits equals 4^{-n}; the analytic
     # production value must match to 1e-9 relative (it is exact).
@@ -157,6 +172,49 @@ def test_staircase_region_contraction_sampled():
 @pytest.mark.parametrize("x,expected", [(0.0, 0.0), (10.0, 1.0), (-np.pi, -1.0)])
 def test_clamp_sin_examples(x, expected):
     assert gallery.clamp_sin(x) == expected
+
+
+def _clamp_sin_reference(x):
+    # the nested-where form the single clip replaced
+    x = np.asarray(x, dtype=float)
+    inner = np.sin(np.clip(x, -gallery.HALF_PI, gallery.HALF_PI))
+    return np.where(x >= gallery.HALF_PI, 1.0, np.where(x <= -gallery.HALF_PI, -1.0, inner))
+
+
+def test_clamp_sin_matches_the_nested_where_reference():
+    h = gallery.HALF_PI
+    x = np.concatenate([
+        [h, -h, np.nextafter(h, 0.0), np.nextafter(h, 4.0), np.nextafter(-h, 0.0),
+         np.nextafter(-h, -4.0), np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e-300],
+        np.random.default_rng(7).uniform(-4.0, 4.0, 10_000),
+    ])
+    got, ref = gallery.clamp_sin(x), _clamp_sin_reference(x)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.sin(h) == 1.0 and np.sin(-h) == -1.0
+
+
+def _cubic_resolvent_reference(x):
+    # the form that took cbrt of the whole batch
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    big = ax > 1e150
+    u = 9.0 * np.where(big, 0.0, ax)
+    a = np.cbrt(12.0 * (u + np.sqrt(u * u + 12.0)))
+    a2 = a * a
+    t = a2 + 6.0
+    return np.where(big, np.cbrt(x), np.copysign(4.0 * u * a2 / (t * t + 108.0), x))
+
+
+def test_cubic_resolvent_matches_the_whole_batch_reference():
+    rng = np.random.default_rng(11)
+    small = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 150, 5000)
+    big = rng.standard_normal(50) * 10.0 ** rng.integers(151, 308, 50)
+    edge = [1e150, -1e150, np.nextafter(1e150, np.inf), -np.nextafter(1e150, np.inf),
+            np.inf, -np.inf, 0.0, -0.0, np.nan]
+    for x in (np.concatenate([small, big, edge]), small, small.reshape(-1, 1)):
+        got, ref = gallery.cubic_resolvent(x), _cubic_resolvent_reference(x)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_solver_examples():
@@ -483,6 +541,15 @@ def test_gallery_has_no_integer_powers():
         and node.right.value >= 3
     ]
     assert bad == []
+
+
+def test_normal_cone_zero_resolvents_are_float_zeros_of_the_input_shape():
+    A = gallery.operator("normal-cone-zero", 3)
+    for J in (A.resolvent, A.scaled_resolvent(0.5)):
+        for x in (2.5, [1, 2, 3], np.arange(6).reshape(2, 3), np.ones((4, 3))[:, ::2]):
+            got = J(x)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == np.shape(x) and not got.any()
 
 
 # ---------------------------------------------------------------------------
