@@ -16,7 +16,6 @@ file embeds the resolved configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -257,14 +256,8 @@ def cmd_witness(args) -> int:
             )
     config = {"schema": 1, "command": "witness", **_config(args)}
     out = args.out or f"{args.example}.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [row[0]] + [f"{float(v):.17g}" for v in row[1:]]
-            )
+    # the trace CSV writer: no row is past a last step, so no field is blank
+    split._write_table(out, config, header, [np.array(rows, dtype=float)], len(rows))
     print(f"witness {args.example}: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -361,9 +354,10 @@ def main(argv=None) -> int:
         # so that the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (StepSizeOutOfRange, UnsupportedOperator, DomainError, DimensionMismatch) as exc:
+    except (StepSizeOutOfRange, UnsupportedOperator, DomainError, DimensionMismatch,
+            OSError) as exc:
         # configuration-level failures, such as two operators of different
-        # dimensions, are usage errors
+        # dimensions or an output path that cannot be written, are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MoskError as exc:

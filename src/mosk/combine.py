@@ -1,36 +1,21 @@
 """Composition calculus for nonexpansive mappings and the splitting-operator
 builders (Peaceman-Rachford, Douglas-Rachford, forward-backward).
 
-Class metadata does not propagate automatically through composition: a
-:class:`SignedMap` carries only the sign of its declaration, and
+Class metadata does not propagate automatically through composition:
 :func:`predicted_sign` is a separate declarative calculator for the sign
 carried by a composition of maps that are (super) strongly nonexpansive up
-to sign; the certifiers provide the empirical cross-check.
+to sign, given the sign of each declaration; the certifiers provide the
+empirical cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import MonotoneOperator, NonexpansiveMap, resolvent, scale
 from .exceptions import DimensionMismatch, DomainError, StepSizeOutOfRange, UnsupportedOperator
-
-
-@dataclass(frozen=True)
-class SignedMap:
-    """A map together with the sign under which its (super) strong
-    nonexpansiveness is declared: ``+1`` means the map itself carries the
-    class, ``-1`` means its negative does."""
-
-    map: NonexpansiveMap
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise DomainError("sign must be +1 or -1")
 
 
 def compose(maps: Sequence[NonexpansiveMap]) -> NonexpansiveMap:
@@ -53,14 +38,17 @@ def compose(maps: Sequence[NonexpansiveMap]) -> NonexpansiveMap:
     return NonexpansiveMap(dim, ev, name=name)
 
 
-def predicted_sign(signed: Sequence[SignedMap]) -> int:
+def predicted_sign(signs: Sequence[int]) -> int:
     """Sign ``(-1)^{#negative declarations}``: the signed multiple of the
-    composition that carries the declared class."""
-    signed = list(signed)
-    if not signed:
-        raise DomainError("need at least one signed map")
-    negatives = sum(1 for s in signed if s.sign == -1)
-    return -1 if negatives % 2 else 1
+    composition that carries the declared class.  Each map's sign is the one
+    under which its (super) strong nonexpansiveness is declared: ``+1`` means
+    the map itself carries the class, ``-1`` means its negative does."""
+    signs = list(signs)
+    if not signs:
+        raise DomainError("need at least one sign")
+    if any(s not in (-1, 1) for s in signs):
+        raise DomainError("sign must be +1 or -1")
+    return -1 if signs.count(-1) % 2 else 1
 
 
 def negate(T: NonexpansiveMap) -> NonexpansiveMap:

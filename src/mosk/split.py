@@ -1,11 +1,12 @@
 """Fixed-point and splitting iterations with full trace recording.
 
 Traces record iterates, optional shadow iterates ``y_n = J_A(x_n)``,
-residuals, distances to a reference point, and weak-convergence probes
-(fixed coordinates of the iterate).  The paper-level stopping questions are
-resolved by a :class:`StoppingRule` with explicit defaults; a period-two
-oscillation (the failure mode of Peaceman-Rachford without uniform
-monotonicity of the second operator) is detected and flagged on the trace.
+residuals and weak-convergence probes (fixed coordinates of the iterate);
+:func:`fejer_check` audits the distances to a candidate fixed point.  The
+paper-level stopping questions are resolved by a :class:`StoppingRule` with
+explicit defaults; a period-two oscillation (the failure mode of
+Peaceman-Rachford without uniform monotonicity of the second operator) is
+detected and flagged on the trace.
 """
 
 from __future__ import annotations
@@ -13,20 +14,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import MonotoneOperator, NonexpansiveMap, as_point
 from .combine import dr_operator, fb_operator, pr_operator
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalFailure
 
 TERM_CONVERGED = "converged"
 TERM_MAX_ITER = "max-iter"
 TERM_DIVERGED = "diverged"
 
-# Detection threshold for the flagged period-2 pattern.
+# Detection threshold for the flagged period-2 pattern, and the number of
+# trailing iterates it inspects.
 PERIOD2_TOL = 1e-12
+PERIOD2_WINDOW = 6
 
 # Rise of a distance that the Fejer audit still counts as nonincreasing.
 FEJER_SLACK = 1e-12
@@ -64,7 +67,6 @@ class IterationTrace:
     residuals: np.ndarray
     termination: str
     shadows: Optional[np.ndarray] = None
-    distances_to_ref: Optional[np.ndarray] = None
     probe_coords: Tuple[int, ...] = ()
     period2: bool = False
 
@@ -85,54 +87,60 @@ class IterationTrace:
         return self.iterates[:, list(self.probe_coords)] if self.probe_coords else None
 
     def write_csv(self, path, config: Optional[dict] = None):
-        """Write the trace as CSV: one row per iterate, floats with 17
-        significant digits, ``\\r\\n`` line ends, and an empty residual
-        field on the rows past the last step.  An optional leading ``#``
-        comment line embeds the resolved run configuration as JSON."""
+        """Write the trace as CSV through ``_write_table``: one row per
+        iterate, and an empty residual field on the rows past the last step.
+        An optional leading ``#`` comment line embeds the resolved run
+        configuration as JSON."""
         n, d = self.iterates.shape
         header = ["iter"] + [f"x_{i}" for i in range(d)]
         columns = [np.arange(n, dtype=float), self.iterates]
         if self.shadows is not None:
             header += [f"y_{i}" for i in range(d)]
             columns.append(self.shadows)
-        # rows past the last step keep a placeholder that "%.0s" prints as ""
+        # rows past the last step keep a placeholder that prints as ""
         stepped = min(len(self.residuals), n)
         residuals = np.zeros(n)
         residuals[:stepped] = self.residuals[:stepped]
-        res_col = len(header)
         header.append("residual")
         columns.append(residuals)
-        if self.distances_to_ref is not None:
-            header.append("dist_ref")
-            columns.append(self.distances_to_ref)
         if self.probe_coords:
             header += [f"probe_{k}" for k in self.probe_coords]
             columns.append(self.weak_probes)
-        fields = ["%d"] + ["%.17g"] * (len(header) - 1)
-        row = ",".join(fields) + "\r\n"
-        fields[res_col] = "%.0s"
-        unstepped_row = ",".join(fields) + "\r\n"
-        # the float table and its Python floats exist one block of rows (about
-        # CSV_BLOCK_VALUES fields) at a time, so writing adds little memory
-        block = max(1, CSV_BLOCK_VALUES // len(header))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config is not None:
-                fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
-            fh.write(",".join(header) + "\r\n")
-            for fmt, lo, hi in ((row, 0, stepped), (unstepped_row, stepped, n)):
-                for b in range(lo, hi, block):
-                    table = np.column_stack([c[b:min(b + block, hi)] for c in columns])
-                    fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
+        _write_table(path, config, header, columns, stepped)
 
 
-def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: float,
-                    window: int = 6) -> bool:
+def _write_table(path, config: Optional[dict], header: Sequence[str], columns, stepped: int):
+    """Write ``columns`` (1-D or 2-D arrays of equal length, laid side by
+    side) as CSV under ``header``: ``%d`` for the first field, 17 significant
+    digits for the others, ``\r\n`` line ends, and a leading ``#`` comment
+    line holding ``config`` as JSON unless it is None.  Rows from
+    ``stepped`` on print their ``residual`` field empty."""
+    n = len(columns[0])
+    fields = ["%d"] + ["%.17g"] * (len(header) - 1)
+    row = ",".join(fields) + "\r\n"
+    if stepped < n:
+        fields[header.index("residual")] = "%.0s"
+    unstepped_row = ",".join(fields) + "\r\n"
+    # the float table and its Python floats exist one block of rows (about
+    # CSV_BLOCK_VALUES fields) at a time, so writing adds little memory
+    block = max(1, CSV_BLOCK_VALUES // len(header))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if config is not None:
+            fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\r\n")
+        for fmt, lo, hi in ((row, 0, stepped), (unstepped_row, stepped, n)):
+            for b in range(lo, hi, block):
+                table = np.column_stack([c[b:min(b + block, hi)] for c in columns])
+                fh.write((fmt * len(table)) % tuple(table.ravel().tolist()))
+
+
+def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: float) -> bool:
     n = len(iterates)
     if n < 3:
         return False
     hits = 0
     checks = 0
-    for idx in range(max(0, n - window), n - 2):
+    for idx in range(max(0, n - PERIOD2_WINDOW), n - 2):
         checks += 1
         if (
             np.linalg.norm(iterates[idx + 2] - iterates[idx]) <= PERIOD2_TOL
@@ -142,19 +150,19 @@ def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: f
     return checks > 0 and hits == checks
 
 
-def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = StoppingRule(),
-            *, shadow: Optional[Callable] = None, ref=None,
+def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
+            *, shadow: Optional[Callable] = None,
             probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Run ``x_{n+1} = T(x_n)`` until a stopping condition fires.
 
     ``shadow`` (when given) is called once, on the stacked iterates of shape
     ``(n_steps + 1, dim)``, so it must be vectorized over leading axes as
-    every ``core`` oracle is; its result is recorded alongside.  ``ref``
-    records distances to a supplied reference point; the artifact never
-    claims to know the fixed-point set a priori.
+    every ``core`` oracle is; its result is recorded alongside.  The
+    artifact never claims to know the fixed-point set a priori: distances to
+    a candidate point are :func:`fejer_check`'s audit.
     """
-    ev = T.eval if isinstance(T, NonexpansiveMap) else T
-    x = as_point(x0, dim=T.dim if isinstance(T, NonexpansiveMap) else None)
+    ev = T.eval
+    x = as_point(x0, dim=T.dim)
     probes = tuple(int(k) for k in probe_coords) if probe_coords is not None else ()
     # weak_probes reads these columns later, so a bad one fails here
     if not all(0 <= k < x.size for k in probes):
@@ -182,10 +190,6 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
     shadows = None
     if shadow is not None:
         shadows = np.asarray(shadow(iterates), dtype=float)
-    dists = None
-    if ref is not None:
-        refp = as_point(ref, dim=iterates.shape[1])
-        dists = np.linalg.norm(iterates - refp, axis=1)
     period2 = termination != TERM_CONVERGED and _detect_period2(
         iterates, residuals, stop.tol_residual
     )
@@ -194,33 +198,30 @@ def iterate(T: Union[NonexpansiveMap, Callable], x0, stop: StoppingRule = Stoppi
         residuals=residuals,
         termination=termination,
         shadows=shadows,
-        distances_to_ref=dists,
         probe_coords=probes,
         period2=period2,
     )
 
 
 def peaceman_rachford(A: MonotoneOperator, B: MonotoneOperator, x0,
-                      stop: StoppingRule = StoppingRule(), *, ref=None,
+                      stop: StoppingRule = StoppingRule(), *,
                       probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = R_B R_A`` recording shadows ``y_n = J_A(x_n)``."""
-    return iterate(pr_operator(A, B), x0, stop, shadow=A.resolvent, ref=ref,
-                   probe_coords=probe_coords)
+    return iterate(pr_operator(A, B), x0, stop, shadow=A.resolvent, probe_coords=probe_coords)
 
 
 def douglas_rachford(A: MonotoneOperator, B: MonotoneOperator, x0,
-                     stop: StoppingRule = StoppingRule(), *, ref=None,
+                     stop: StoppingRule = StoppingRule(), *,
                      probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = (Id + R_B R_A)/2`` recording shadows ``y_n = J_A(x_n)``."""
-    return iterate(dr_operator(A, B), x0, stop, shadow=A.resolvent, ref=ref,
-                   probe_coords=probe_coords)
+    return iterate(dr_operator(A, B), x0, stop, shadow=A.resolvent, probe_coords=probe_coords)
 
 
 def forward_backward(A: MonotoneOperator, B: MonotoneOperator, gamma: float, x0,
-                     stop: StoppingRule = StoppingRule(), *, ref=None,
+                     stop: StoppingRule = StoppingRule(), *,
                      probe_coords: Optional[Sequence[int]] = None) -> IterationTrace:
     """Iterate ``T = J_{gamma B}(Id - gamma A)`` (primal iterates only)."""
-    return iterate(fb_operator(A, B, gamma), x0, stop, ref=ref, probe_coords=probe_coords)
+    return iterate(fb_operator(A, B, gamma), x0, stop, probe_coords=probe_coords)
 
 
 @dataclass
@@ -234,11 +235,16 @@ class FejerReport:
 
 def fejer_check(trace: IterationTrace, xbar) -> FejerReport:
     """Verify ``|x_n - xbar|`` is nonincreasing within ``FEJER_SLACK``;
-    report the first violating index otherwise."""
+    report the first violating index otherwise.  A non-finite distance
+    raises :class:`NumericalFailure`, since no comparison can judge it."""
     if len(trace.iterates) == 0:
         raise DomainError("empty trace")
     ref = as_point(xbar, dim=trace.iterates.shape[1])
     d = np.linalg.norm(trace.iterates - ref, axis=1)
+    nonfinite = np.flatnonzero(~np.isfinite(d))
+    if nonfinite.size:
+        n = int(nonfinite[0])
+        raise NumericalFailure(f"non-finite distance |x_{n} - xbar| = {d[n]} in the Fejer audit")
     bad = np.nonzero(d[1:] > d[:-1] + FEJER_SLACK)[0]
     return FejerReport(
         distances=d,

@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,73 @@ def test_witness_cone_csv(tmp_path):
     header, data = rows[0], rows[1:]
     assert float(data[0][header.index("ratio")]) == 0.0
     assert float(data[0][header.index("coercivity_probe")]) == 2.0
+
+
+def _reference_witness_csv(example, n, path):
+    """The per-row ``csv.writer`` body of ``cmd_witness`` that the shared
+    trace writer replaced; its output is the byte format witness dumps keep."""
+    rows = []
+    if example == "staircase-ssne":
+        header = ["n", "x_1", "x_2", "y_1", "y_2", "d_n", "g_n"]
+        for k in range(1, n + 1):
+            x, y, d, g = gallery.staircase_witnesses(k)
+            rows.append([k, x[0], x[1], y[0], y[1], d, g])
+    else:
+        header = ["n", "x_1", "x_2", "y_1", "y_2", "xstar_1", "xstar_2", "ratio", "coercivity_probe"]
+        for k in range(1, n + 1):
+            first, second = gallery.cone_subdiff_witnesses(k)
+            dist = float(np.linalg.norm(first.x - second.x))
+            ratio = float(np.linalg.norm(first.xstar - second.xstar)) / dist
+            probe = float(np.dot(first.xstar, first.x) / np.dot(first.x, first.x))
+            rows.append([k, *first.x, *second.x, *first.xstar, ratio, probe])
+    config = {"schema": 1, "command": "witness", "example": example, "n": n}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([row[0]] + [f"{float(v):.17g}" for v in row[1:]])
+
+
+@pytest.mark.parametrize("example,n", [
+    ("staircase-ssne", 1), ("staircase-ssne", 20), ("staircase-ssne", 40),
+    ("cone-subdiff-growth", 1), ("cone-subdiff-growth", 5), ("cone-subdiff-growth", 200),
+])
+def test_witness_csv_matches_csv_writer_reference(example, n, tmp_path, capsys):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert main(["witness", "--example", example, "--n", str(n), "--out", str(got)]) == 0
+    _reference_witness_csv(example, n, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_no_module_imports_csv():
+    # one CSV writer, split._write_table, serves trace and witness files
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "csv" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "csv", path.name
+
+
+def test_unwritable_output_path_is_usage_error(tmp_path):
+    missing = tmp_path / "missing"
+    runs = [
+        ["certify", "--op", "cubic", "--class", "nonexpansive", "--samples", "200",
+         "--out", str(missing / "x.json")],
+        ["split", "--algo", "pr", "--opA", "normal-cone-zero", "--opB", "zero", "--x0", "1",
+         "--max-iter", "5", "--out", str(missing / "t.csv")],
+        ["witness", "--example", "staircase-ssne", "--n", "3", "--out", str(missing / "w.csv")],
+        ["gallery", "--json", str(missing / "g.json")],
+        ["witness", "--example", "staircase-ssne", "--n", "3", "--out", str(tmp_path)],
+    ]
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "mosk", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr, argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 def test_selfdual_command(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from mosk import certify, core, gallery
 from mosk.combine import (
-    SignedMap,
     compose,
     convex_combination,
     dr_operator,
@@ -49,13 +48,12 @@ def test_compose_associativity():
     [((-1, -1), 1), ((-1, 1), -1), ((-1, -1, -1), -1), ((1, 1), 1)],
 )
 def test_predicted_sign(signs, expected):
-    signed = [SignedMap(IDENT, s) for s in signs]
-    assert predicted_sign(signed) == expected
+    assert predicted_sign(signs) == expected
 
 
-def test_signed_map_validation():
+def test_predicted_sign_validation():
     with pytest.raises(DomainError):
-        SignedMap(IDENT, 0)
+        predicted_sign([1, 0])
     with pytest.raises(DomainError):
         predicted_sign([])
 
@@ -150,8 +148,7 @@ def test_sign_rule_empirical_battery():
     # composition passes while the opposite sign is refuted.
     C = gallery.operator("cubic")
     RA = core.reflected_map(C)
-    signed = [SignedMap(RA, -1)]
-    assert predicted_sign(signed) == -1
+    assert predicted_sign([-1]) == -1
     fam = certify.scaled_pair_family([1.0], [1.3], n_cap=45)
     good = certify.check_sequential(negate(RA), fam, "ssne", 45)
     bad = certify.check_sequential(RA, fam, "ssne", 45)
@@ -160,8 +157,7 @@ def test_sign_rule_empirical_battery():
     # clamp-sin operator passes the battery under the predicted +1 sign
     B = gallery.operator("clamp-sin-op")
     RB = core.reflected_map(B)
-    signed2 = [SignedMap(RA, -1), SignedMap(RB, -1)]
-    assert predicted_sign(signed2) == 1
+    assert predicted_sign([-1, -1]) == 1
     T = compose([RA, RB])
     rep = certify.check_sequential(T, fam, "ssne", 45)
     assert rep.verdict == certify.CONSISTENT

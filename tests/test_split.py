@@ -9,7 +9,7 @@ import pytest
 from mosk import certify, core, gallery, split
 from mosk.combine import pr_operator
 from mosk.core import NonexpansiveMap
-from mosk.exceptions import DomainError, StepSizeOutOfRange, UnsupportedOperator
+from mosk.exceptions import DomainError, NumericalFailure, StepSizeOutOfRange, UnsupportedOperator
 
 
 def test_stopping_rule_validation():
@@ -164,6 +164,19 @@ def test_fejer_check_examples():
     assert not rep.nonincreasing and rep.first_violation == 0
 
 
+def test_fejer_check_raises_on_non_finite_distance():
+    # NaN compares false both ways, so a NaN distance would pass as nonincreasing
+    NAN = NonexpansiveMap(1, lambda x: np.full_like(np.asarray(x, float), np.nan), "nan")
+    tr = split.iterate(NAN, [1.0], split.StoppingRule(max_iter=20))
+    with pytest.raises(NumericalFailure, match=r"\|x_1 - xbar\| = nan"):
+        split.fejer_check(tr, [0.0])
+    tr = split.IterationTrace(iterates=np.array([[3.0], [1.0], [np.inf], [0.0]]),
+                              residuals=np.array([2.0, np.inf, np.inf]),
+                              termination=split.TERM_MAX_ITER)
+    with pytest.raises(NumericalFailure, match=r"\|x_2 - xbar\| = inf"):
+        split.fejer_check(tr, [0.0])
+
+
 def test_trace_csv_roundtrip(tmp_path):
     C = gallery.operator("cubic")
     I1 = gallery.operator("identity", 1)
@@ -214,8 +227,6 @@ def _reference_write_csv(trace, path, config=None):
     if trace.shadows is not None:
         header += [f"y_{i}" for i in range(d)]
     header += ["residual"]
-    if trace.distances_to_ref is not None:
-        header += ["dist_ref"]
     header += [f"probe_{k}" for k in trace.probe_coords]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
@@ -228,8 +239,6 @@ def _reference_write_csv(trace, path, config=None):
             if trace.shadows is not None:
                 row += [f"{v:.17g}" for v in trace.shadows[n]]
             row += [f"{trace.residuals[n]:.17g}" if n < len(trace.residuals) else ""]
-            if trace.distances_to_ref is not None:
-                row += [f"{trace.distances_to_ref[n]:.17g}"]
             row += [f"{trace.iterates[n][k]:.17g}" for k in trace.probe_coords]
             writer.writerow(row)
 
@@ -248,24 +257,21 @@ def _csv_cases():
     long_steps = _block_rows(4) + 1
     odd = np.array([[np.inf, -0.0], [np.nan, 5e-324], [-np.inf, 1.0 / 3.0]])
     return {
-        "dr-shadows-ref-probes": split.douglas_rachford(
-            C, Q, [7.0], split.StoppingRule(max_iter=60), ref=[0.0], probe_coords=[0]),
+        "dr-shadows-probes": split.douglas_rachford(
+            C, Q, [7.0], split.StoppingRule(max_iter=60), probe_coords=[0]),
         "dr-2d": split.douglas_rachford(
-            S, Z2, [3.0, 1.0], split.StoppingRule(max_iter=40), ref=[0.5, 0.5],
-            probe_coords=[1, 0]),
+            S, Z2, [3.0, 1.0], split.StoppingRule(max_iter=40), probe_coords=[1, 0]),
         "pr-shift-probes": split.peaceman_rachford(
             N16, B16, x16, split.StoppingRule(max_iter=30), probe_coords=range(4)),
         "fb-no-shadows": split.forward_backward(
             gallery.operator("identity", 1), C, 0.5, [5.0], split.StoppingRule(max_iter=80)),
         "one-row": split.peaceman_rachford(
-            C, Q, [10.0], split.StoppingRule(divergence_guard=1.0), ref=[0.0],
-            probe_coords=[0]),
+            C, Q, [10.0], split.StoppingRule(divergence_guard=1.0), probe_coords=[0]),
         "past-one-block": split.peaceman_rachford(
             N1, Z1, [1.5], split.StoppingRule(max_iter=long_steps)),
         "non-finite": split.IterationTrace(
             iterates=odd, residuals=np.array([np.nan, -0.0]), termination=split.TERM_DIVERGED,
-            shadows=odd[:, ::-1].copy(), distances_to_ref=np.array([np.inf, 5e-324, -0.0]),
-            probe_coords=(1,)),
+            shadows=odd[:, ::-1].copy(), probe_coords=(1,)),
     }
 
 
