@@ -89,6 +89,8 @@ class SamplerConfig:
         hi = np.atleast_1d(np.asarray(self.box_high, dtype=float))
         object.__setattr__(self, "box_low", lo)
         object.__setattr__(self, "box_high", hi)
+        if self.seed < 0:  # np.random.default_rng rejects it at the first draw
+            raise DomainError("seed must be >= 0")
         if self.sample_count < 1:
             raise DomainError("sample_count must be >= 1")
         if lo.shape != hi.shape or not np.all(lo < hi):
@@ -176,13 +178,14 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
 
 def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples):
     """Pairs on nested rings ``|x| in [r, 2r)``, ``r = ring_base * 2^k``,
-    separated by a geometric ladder starting at ``dist_floor``."""
+    separated by a geometric ladder starting at ``dist_floor``; a ring too
+    small for the ladder holds no pairs."""
     rings = []
     for k in range(ring_count):
         r = ring_base * 2.0**k
         smax = 2.0 * r
         if smax < dist_floor:
-            rings.append((r, None, None))
+            rings.append((r, np.empty((0, dim)), np.empty((0, dim))))
             continue
         x = _unit_dirs(rng, ring_samples, dim)
         radius = rng.random(ring_samples)
@@ -200,11 +203,11 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
 def _draw(cfg: SamplerConfig, knots, lift, ring_samples=RING_SAMPLES):
     """The pairs of a profile probe as ``(radius, lift(x, y))`` rows: first
     the sampled batch with shells at ``knots`` (radius ``None``), then the
-    scale rings (``None`` in place of pairs for a ring the ladder skips)."""
+    scale rings."""
     X, Y = pair_batches(cfg, shell_distances=knots)
     rng = np.random.default_rng(cfg.seed + 1)
     rings = _ring_pair_batches(rng, cfg.dim, knots[0], RING_BASE, RING_COUNT, ring_samples)
-    return [(r, None if x is None else lift(x, y)) for r, x, y in [(None, X, Y)] + rings]
+    return [(r, lift(x, y)) for r, x, y in [(None, X, Y)] + rings]
 
 
 def _knots(values, label: str) -> list:
@@ -469,7 +472,7 @@ def _measure(name: str, arrays, graph: bool, params=None) -> _Batch:
 
 def _measure_draw(name: str, lifted, graph: bool) -> list:
     """``(radius, batch)`` for each ``(radius, arrays)`` of a lifted draw."""
-    return [(r, None if a is None else _measure(name, a, graph)) for r, a in lifted]
+    return [(r, _measure(name, a, graph)) for r, a in lifted]
 
 
 def _extreme(name: str, batches, select=None) -> _Extreme:
@@ -536,9 +539,8 @@ def _ring_probe(name: str, rings, floor: float, decaying=float):
     at least ``MIN_RING_PAIRS`` pairs (never up by more than 30 %, the last
     at most ``DECAY_THRESHOLD`` times the first), the last such ring's worst
     pair."""
-    ends = [(r, _extreme(name, [] if b is None else [b], lambda d: d >= floor))
-            for r, b in rings]
-    valid = [e for _, e in ends if e.count >= MIN_RING_PAIRS and e.value is not None]
+    ends = [(r, _extreme(name, [b], lambda d: d >= floor)) for r, b in rings]
+    valid = [e for _, e in ends if e.count >= MIN_RING_PAIRS]
     seq = [decaying(e.value) for e in valid]
     decays = (
         len(seq) >= 4
@@ -597,7 +599,7 @@ def _cld(lifted, eps, cfg) -> ClassCertificate:
     name = "contraction-large-distances"
     batches = _measure_draw(name, lifted, False)
     # the ring pairs join the sampled batch in beta(eps)
-    pool = [b for _, b in batches if b is not None]
+    pool = [b for _, b in batches]
     betas = [_extreme(name, pool, lambda d, e=e: d >= e) for e in eps]
     worst = max((b for b in betas if b.value is not None), key=lambda b: b.value, default=None)
     absolute = worst is not None and CLASSES[name].refutes(worst.value, {})
@@ -989,7 +991,7 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
         return x, y, minty_sample(A, x), minty_sample(A, y)
 
     def lifted(draw, arrays):  # lazily, so a map probe drops each batch's values once measured
-        return ((r, None if d is None else arrays(*d)) for r, d in draw)
+        return ((r, arrays(*d)) for r, d in draw)
 
     draw = _draw(cfg, knots, graph)
     m1 = _modulus(lifted(draw, lambda x, y, g, h: (*g, *h)), knots, cfg)

@@ -29,9 +29,9 @@ from .exceptions import (
 
 Oracle = Callable[[np.ndarray], np.ndarray]
 
-# Residual tolerances: closed-form resolvents are exact up to rounding,
-# root-found resolvents stop on an absolute residual.
-TOL_RESOLVENT_CLOSED = 1e-12
+# Root-found resolvents stop on this absolute residual.  Closed-form
+# resolvents are exact up to rounding, which grows with |x|, so no absolute
+# bound holds for them.
 TOL_RESOLVENT_ROOT = 1e-10
 
 # Bracket expansion doubles an initial radius of 1 up to 2**60 before failing.
@@ -64,10 +64,12 @@ class MonotoneOperator:
     parametrization identity ``J(x) + A(J(x)) = x``.  ``inverse_direct_eval``
     optionally carries a closed form for ``A^{-1}`` so that :func:`invert`
     round-trips exactly.  ``declared_properties`` maps trusted class tags
-    (``"uniformly-monotone"``, ``"cocoercive"``, ...) to an optional
-    parameter value; certifiers never read these, reports only compare
-    against them.  ``scaled_resolvent``, when registered, returns a closed
-    form resolvent oracle for ``gamma * A``.
+    to an optional parameter value.  Three tags are read:
+    ``"uniformly-monotone"`` and ``"strongly-monotone"`` by
+    ``certify.compare_with_declaration``, and ``"cocoercive"``, whose value
+    is the constant ``combine.fb_operator`` needs; certifiers never read
+    them.  ``scaled_resolvent``, when registered, returns a closed form
+    resolvent oracle for ``gamma * A``.
     """
 
     dim: int
@@ -143,25 +145,18 @@ def reflected_map(A: MonotoneOperator) -> NonexpansiveMap:
     )
 
 
-_INVERT_RULES = {
-    "maximally-monotone": ("maximally-monotone", False),
-    "strongly-monotone": ("cocoercive", True),
-    "cocoercive": ("strongly-monotone", True),
-}
+_INVERT_SWAP = {"strongly-monotone": "cocoercive", "cocoercive": "strongly-monotone"}
 
 
 def invert(A: MonotoneOperator) -> MonotoneOperator:
     """The inverse operator, realized through ``J_{A^{-1}} = Id - J_A``.
 
-    Declared properties follow the inversion rules: maximal monotonicity is
-    kept, strong monotonicity and cocoercivity swap (same constant), all
-    other tags are dropped because they do not transfer in general.
+    Declared ``"strongly-monotone"`` and ``"cocoercive"`` swap with the same
+    constant; ``"uniformly-monotone"`` is dropped, because it does not
+    transfer in general.
     """
-    props = {}
-    for tag, value in A.declared_properties.items():
-        rule = _INVERT_RULES.get(tag)
-        if rule is not None:
-            props[rule[0]] = value
+    props = {_INVERT_SWAP[tag]: value for tag, value in A.declared_properties.items()
+             if tag in _INVERT_SWAP}
     res = A.resolvent
     return MonotoneOperator(
         dim=A.dim,
@@ -184,7 +179,6 @@ def from_neg_reflected(T: NonexpansiveMap) -> MonotoneOperator:
         dim=T.dim,
         resolvent=lambda x: 0.5 * (np.asarray(x, dtype=float) - ev(x)),
         name=f"opneg[{T.name}]",
-        declared_properties={"maximally-monotone": None},
     )
 
 
@@ -194,7 +188,6 @@ def from_firmly_nonexpansive(F: NonexpansiveMap) -> MonotoneOperator:
         dim=F.dim,
         resolvent=F.eval,
         name=f"op[{F.name}]",
-        declared_properties={"maximally-monotone": None},
     )
 
 
@@ -304,7 +297,7 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
     for tag, value in A.declared_properties.items():
         if tag == "cocoercive" and value is not None:
             props[tag] = value / gamma
-        elif tag in ("strongly-monotone", "lipschitz") and value is not None:
+        elif tag == "strongly-monotone" and value is not None:
             props[tag] = value * gamma
         else:
             props[tag] = value

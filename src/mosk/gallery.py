@@ -588,7 +588,7 @@ def _op_cubic(dim: int) -> MonotoneOperator:
         name="cubic",
         direct_eval=_cube,
         inverse_direct_eval=np.cbrt,
-        declared_properties={"maximally-monotone": None, "uniformly-monotone": None},
+        declared_properties={"uniformly-monotone": None},
         scaled_resolvent=lambda g: (
             lambda x, _s=math.sqrt(g): cubic_resolvent(_s * np.asarray(x, dtype=float)) / _s
         ),
@@ -600,11 +600,7 @@ def _op_normal_cone_zero(dim: int) -> MonotoneOperator:
         dim=dim,
         resolvent=lambda x: np.zeros(np.shape(x)),
         name="normal-cone-zero",
-        declared_properties={
-            "maximally-monotone": None,
-            "strongly-monotone": None,
-            "uniformly-monotone": None,
-        },
+        declared_properties={"strongly-monotone": None, "uniformly-monotone": None},
         scaled_resolvent=lambda g: (lambda x: np.zeros(np.shape(x))),
     )
 
@@ -616,7 +612,6 @@ def _op_zero(dim: int) -> MonotoneOperator:
         name="zero",
         direct_eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         inverse_direct_eval=None,
-        declared_properties={"maximally-monotone": None, "lipschitz": 0.0},
         scaled_resolvent=lambda g: (lambda x: np.asarray(x, dtype=float)),
     )
 
@@ -629,11 +624,9 @@ def _op_identity(dim: int) -> MonotoneOperator:
         direct_eval=lambda x: np.asarray(x, dtype=float),
         inverse_direct_eval=lambda x: np.asarray(x, dtype=float),
         declared_properties={
-            "maximally-monotone": None,
             "uniformly-monotone": None,
             "strongly-monotone": 1.0,
             "cocoercive": 1.0,
-            "lipschitz": 1.0,
         },
         scaled_resolvent=lambda g: (lambda x: np.asarray(x, dtype=float) / (1.0 + g)),
     )
@@ -646,7 +639,6 @@ def _op_rotator(dim: int) -> MonotoneOperator:
         name="rotator",
         direct_eval=rotator_eval,
         inverse_direct_eval=lambda x: -rotator_eval(x),
-        declared_properties={"maximally-monotone": None, "lipschitz": 1.0},
     )
 
 
@@ -657,7 +649,7 @@ def _op_clamp_sin(dim: int) -> MonotoneOperator:
         name="clamp-sin-op",
         direct_eval=clamp_sin_operator_inverse_eval,
         inverse_direct_eval=clamp_sin_operator_eval,
-        declared_properties={"maximally-monotone": None, "uniformly-monotone": None},
+        declared_properties={"uniformly-monotone": None},
     )
 
 
@@ -667,11 +659,7 @@ def _op_quartic(dim: int) -> MonotoneOperator:
         resolvent=quartic_mixed_resolvent,
         name="quartic-mixed",
         direct_eval=quartic_mixed_fprime,
-        declared_properties={
-            "maximally-monotone": None,
-            "uniformly-monotone": None,
-            "lipschitz": 8.0,
-        },
+        declared_properties={"uniformly-monotone": None},
         scaled_resolvent=lambda g: lambda x: quartic_mixed_resolvent(x, g),
     )
 

@@ -240,7 +240,15 @@ def fejer_check(trace: IterationTrace, xbar) -> FejerReport:
     if len(trace.iterates) == 0:
         raise DomainError("empty trace")
     ref = as_point(xbar, dim=trace.iterates.shape[1])
-    d = np.linalg.norm(trace.iterates - ref, axis=1)
+    with np.errstate(over="ignore"):
+        diff = trace.iterates - ref
+        d = np.linalg.norm(diff, axis=1)
+        # the squares overflow from about 1.3e154 on: rescale such a finite row
+        # by its largest magnitude
+        big = np.flatnonzero(np.isinf(d) & np.all(np.isfinite(diff), axis=1))
+        if big.size:
+            s = np.max(np.abs(diff[big]), axis=1)
+            d[big] = s * np.linalg.norm(diff[big] / s[:, None], axis=1)
     nonfinite = np.flatnonzero(~np.isfinite(d))
     if nonfinite.size:
         n = int(nonfinite[0])

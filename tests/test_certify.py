@@ -36,6 +36,9 @@ def test_sampler_config_validation():
         SamplerConfig(seed=0, sample_count=0, box_low=[-1.0], box_high=[1.0])
     with pytest.raises(DomainError):
         SamplerConfig(seed=0, sample_count=10, box_low=[1.0], box_high=[-1.0])
+    # np.random.default_rng would reject it only at the first draw
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        SamplerConfig.symmetric(-1, 10, 1, 1.0)
 
 
 def test_certify_lipschitz_examples():
@@ -450,6 +453,33 @@ def test_check_selfdual_patterns():
     assert payload["verdicts"]["uniformly-monotone"] == REFUTED
 
 
+def test_rings_below_the_first_knot_hold_no_pairs():
+    # a first knot of 10 leaves the ladder no room on the rings r = 1, 2, 4
+    # (2r < 10); they report no pairs and no value, and every later ring
+    # that measures pairs at their sampled distance has enough of them
+    cfg = cfg1(n=5000, seed=7)
+    zero = gallery.operator("zero")
+    clamp = gallery.mapping("clamp-sin-map")
+    est = certify.estimate_modulus(zero, [10.0, 20.0], cfg)
+    cld = certify.certify_cld(clamp, [10.0, 20.0], cfg)
+    rep = certify.check_selfdual(zero, cfg, t_list=[10.0, 20.0], eps_list=[10.0, 40.0])
+    # A^-1 = N_{0}: its graph pairs all share x, so its rings stay empty
+    probes = [(est, "min_product", True), (cld, "sup_ratio", True),
+              (rep.modulus_primal, "min_product", True),
+              (rep.modulus_inverse, "min_product", False), (rep.cld, "sup_ratio", True)]
+    for cert, key, full in probes:
+        rings = cert.params["rings"]
+        assert len(rings) == certify.RING_COUNT
+        assert [(g["radius"], g["pairs"], g[key]) for g in rings[:3]] == [
+            (1.0, 0, None), (2.0, 0, None), (4.0, 0, None)]
+        if full:
+            assert all(g["pairs"] >= certify.MIN_RING_PAIRS for g in rings[3:])
+    assert rep.verdicts == (REFUTED, CONSISTENT, REFUTED) and cld.verdict == CONSISTENT
+    for cert, target in ((est, None), (rep.modulus_primal, None), (rep.cld, core.reflected_map(zero))):
+        assert cert.witness is not None
+        assert certify.replay(cert, target) == cert.witness_value
+
+
 def test_compare_with_declaration():
     C = gallery.operator("cubic")
     est = certify.estimate_modulus(C, [0.5, 1.0], cfg1(n=20_000, width=40.0))
@@ -702,7 +732,7 @@ def test_ring_pair_batches_match_the_resize_reference(d):
         for (r, x, y), (rr, xr, yr) in zip(got, ref):
             assert r == rr
             if xr is None:
-                assert x is None and y is None
+                assert x.shape == y.shape == (0, d)
             else:
                 assert np.array_equal(_bits(x), _bits(xr)) and np.array_equal(_bits(y), _bits(yr))
 

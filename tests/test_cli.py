@@ -290,9 +290,16 @@ def test_usage_errors_exit1(monkeypatch, capsys, tmp_path):
         assert main(["split", "--algo", "pr", "--opA", "cubic", "--opB", "zero", "--x0", "3",
                      option, "--out", str(out)]) == 1
         assert not out.exists()
+    # a negative seed, given or from the environment
+    assert main(["certify", "--op", "cubic", "--class", "nonexpansive", "--samples", "100",
+                 "--seed", "-1"]) == 1
+    monkeypatch.setenv("MOSK_SEED", "-1")
+    assert main(["certify", "--op", "cubic", "--class", "nonexpansive", "--samples", "100"]) == 1
+    assert main(["selfdual", "--op", "cubic", "--samples", "100"]) == 1
     monkeypatch.setenv("MOSK_SEED", "abc")
     assert main(["gallery"]) == 1
     err = capsys.readouterr().err
+    assert err.count("error: seed must be >= 0") == 3
     assert "error: argument --class" in err and err.count("error: argument --box") == 2
     assert "error: argument --t" in err and "error: --probes must be >= 0" in err
     assert "error: MOSK_SEED" in err and "Traceback" not in err

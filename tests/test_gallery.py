@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mosk import certify, gallery
+from mosk import certify, core, gallery
 from mosk.core import WitnessFamily
 from mosk.exceptions import DomainError, NumericalFailure, SequenceOverflow, UnsupportedOperator
 
@@ -648,3 +648,20 @@ def test_each_listed_kind_builds_and_no_other(name):
             with pytest.raises(UnsupportedOperator, match="exposes no"):
                 access(name)
 
+
+
+# the tags some code reads: compare_with_declaration reads the two class
+# names, fb_operator the cocoercivity constant
+READ_TAGS = {"uniformly-monotone", "strongly-monotone", "cocoercive"}
+
+
+@pytest.mark.parametrize("name", [n for n in gallery.names() if "operator" in gallery.entry(n).kinds])
+def test_operators_declare_only_tags_that_are_read(name):
+    A = gallery.operator(name)
+    ops = [A, core.invert(A), core.from_firmly_nonexpansive(core.resolvent_map(A))]
+    try:
+        ops.append(core.scale(A, 0.5))
+    except UnsupportedOperator:
+        pass
+    for op in ops:
+        assert set(op.declared_properties) <= READ_TAGS, op.name

@@ -177,6 +177,28 @@ def test_fejer_check_raises_on_non_finite_distance():
         split.fejer_check(tr, [0.0])
 
 
+@pytest.mark.parametrize("iterates,want", [
+    ([[3e200], [1e200]], [3e200, 1e200]),
+    ([[3e200, 4e200], [0.0, 1e200], [0.5, -2.0]], [5e200, 1e200, np.hypot(0.5, 2.0)]),
+])
+def test_fejer_check_scales_distances_whose_squares_overflow(iterates, want):
+    # finite distances beyond about 1.3e154 overflow when squared unscaled;
+    # every finite row keeps the plain norm bit for bit
+    it = np.array(iterates)
+    tr = split.IterationTrace(iterates=it, residuals=np.zeros(len(it) - 1),
+                              termination=split.TERM_MAX_ITER)
+    rep = split.fejer_check(tr, np.zeros(it.shape[1]))
+    assert rep.nonincreasing and rep.first_violation is None
+    np.testing.assert_allclose(rep.distances, want, rtol=1e-15)
+    small = np.all(np.abs(it) < 1e150, axis=1)
+    assert np.array_equal(rep.distances[small], np.linalg.norm(it[small], axis=1))
+    # a distance beyond the largest float is still not finite
+    tr = split.IterationTrace(iterates=np.full((2, it.shape[1]), 1.5e308), residuals=np.zeros(1),
+                              termination=split.TERM_MAX_ITER)
+    with pytest.raises(NumericalFailure, match=r"\|x_0 - xbar\| = inf"):
+        split.fejer_check(tr, -np.full(it.shape[1], 1.5e308))
+
+
 def test_trace_csv_roundtrip(tmp_path):
     C = gallery.operator("cubic")
     I1 = gallery.operator("identity", 1)
