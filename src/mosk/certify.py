@@ -64,6 +64,17 @@ SEQ_DECAY_TOL, SEQ_GAP_FLOOR, SEQ_BOUNDED_FACTOR, SEQ_PREMISE_ULPS = 1e-6, 1e-3,
 # Default shell radii t and CLD probes eps (check_selfdual, mosk certify).
 PROBES = (0.5, 1.0, 2.0, 4.0)
 
+# Floats of a lifted block (x, u, y, v): the engine lifts, measures and
+# folds a block of rows at a time, so that a certifier holds its draw and
+# one block.
+_BLOCK_FLOATS = 32768
+
+
+def _block_rows(dim: int) -> int:
+    """Rows of a block of ``dim``-vectors: four such arrays hold
+    ``_BLOCK_FLOATS`` floats."""
+    return max(1, _BLOCK_FLOATS // (4 * dim))
+
 
 # ---------------------------------------------------------------------------
 # Deterministic pair sampling
@@ -123,11 +134,19 @@ class SamplerConfig:
         }
 
 
-def _unit_dirs(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+def _unit_dirs(rng: np.random.Generator, n: int, d: int, out=None) -> np.ndarray:
+    """``n`` random unit vectors of ``R^d``, written to ``out`` when given;
+    they are normalised a block of rows at a time, so that the squares
+    never span the whole draw."""
+    v = np.empty((n, d)) if out is None else out
     if d == 1:  # the draws of rng.choice([-1.0, 1.0], size=(n, 1))
-        return rng.integers(0, 2, size=(n, 1)) * 2.0 - 1.0
-    v = rng.standard_normal((n, d))
-    v /= np.maximum(_norm(v), 1e-300)[:, None]
+        np.multiply(rng.integers(0, 2, size=(n, 1)), 2.0, out=v)
+        v -= 1.0
+        return v
+    rng.standard_normal(out=v)
+    step = _block_rows(d)
+    for lo in range(0, n, step):
+        v[lo:lo + step] /= np.maximum(_norm(v[lo:lo + step]), 1e-300)[:, None]
     return v
 
 
@@ -171,7 +190,8 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
         elif strat == "antithetic":
             np.negative(x, out=y)
         else:  # radial-shells: y = x + t * dir
-            np.multiply(_unit_dirs(rng, m, cfg.dim), _cycle(ladder, m)[:, None], out=y)
+            _unit_dirs(rng, m, cfg.dim, out=y)
+            y *= _cycle(ladder, m)[:, None]
             y += x
     return X, Y
 
@@ -200,14 +220,14 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
     return rings
 
 
-def _draw(cfg: SamplerConfig, knots, lift, ring_samples=RING_SAMPLES):
-    """The pairs of a profile probe as ``(radius, lift(x, y))`` rows: first
-    the sampled batch with shells at ``knots`` (radius ``None``), then the
+def _draw(cfg: SamplerConfig, knots, ring_samples=RING_SAMPLES):
+    """The pairs of a profile probe: the ring radii, and the batches
+    ``(x, y)``, first the sampled batch with shells at ``knots``, then the
     scale rings."""
     X, Y = pair_batches(cfg, shell_distances=knots)
     rng = np.random.default_rng(cfg.seed + 1)
     rings = _ring_pair_batches(rng, cfg.dim, knots[0], RING_BASE, RING_COUNT, ring_samples)
-    return [(r, lift(x, y)) for r, x, y in [(None, X, Y)] + rings]
+    return [r for r, _, _ in rings], [(X, Y)] + [(x, y) for _, x, y in rings]
 
 
 def _knots(values, label: str) -> list:
@@ -284,6 +304,9 @@ def _points(*arrays) -> list:
 # value raises NumericalFailure, so failed arithmetic never passes for
 # consistency.  The class extreme over a selection of pairs is the estimate
 # and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
+# The engine (_measure) does all of this one block of rows at a time and
+# folds each block into running worst pairs, so no lifted array, distance
+# or value spans the whole draw.
 
 
 def _rowsum(p):
@@ -422,13 +445,6 @@ CLASSES = {
 }
 
 
-class _Batch(NamedTuple):
-    points: tuple       # the arrays a witness is read from
-    keep: Optional[np.ndarray]  # which of their rows are kept pairs (None: all)
-    dist: np.ndarray
-    value: np.ndarray
-
-
 class _Extreme(NamedTuple):
     value: Optional[float]  # None when no pair was selected
     witness: Optional[list]
@@ -438,6 +454,82 @@ class _Extreme(NamedTuple):
 _EMPTY = _Extreme(None, None, 0)
 
 
+def _lead(pick, best: _Extreme, value, mask, points, rows) -> _Extreme:
+    """``best`` after one more block of kept pairs: their ``value`` where
+    ``mask`` holds (all when ``None``), ``rows`` their rows among the
+    block's ``points`` (all when ``None``).  The block's worst pair takes
+    the lead only when strictly worse, so an earlier block wins a tie, and
+    within the block the first index ``pick`` returns does, as in one
+    ``pick`` over the concatenation.  The witness is copied from the block
+    as it takes the lead."""
+    n = value.size if mask is None else int(np.count_nonzero(mask))
+    if n == 0:
+        return best
+    top = pick is np.argmax
+    j = int(pick(value if mask is None else np.where(mask, value, -np.inf if top else np.inf)))
+    v = float(value[j])
+    if best.value is not None and not (v > best.value if top else v < best.value):
+        return best._replace(count=best.count + n)
+    row = j if rows is None else int(rows[j])
+    return _Extreme(v, _points(*(a[row] for a in points)), best.count + n)
+
+
+class _Worst:
+    """Running worst pairs of a probe over its selections by distance:
+    every kept pair when ``edges`` is ``None``, else per edge ``e_i`` the
+    shell ``d >= e_i`` when ``nested`` and the bin ``[e_i, e_{i+1})``, the
+    last one unbounded, when not."""
+
+    def __init__(self, edges=None, nested=False):
+        self.edges, self.nested = edges, nested
+        self.found = [_EMPTY] * (1 if edges is None else len(edges))
+
+    def fold(self, pick, dist, value, points, rows):
+        if self.edges is None:
+            masks = [None]
+        else:
+            masks = [dist >= e for e in self.edges]
+            if not self.nested:  # in [e_i, e_{i+1}): d >= e_i but not d >= e_{i+1}
+                masks = [a > b for a, b in zip(masks, masks[1:])] + masks[-1:]
+        self.found = [_lead(pick, w, value, m, points, rows) for w, m in zip(self.found, masks)]
+
+
+class _Kept:
+    """Every kept pair's distance and value among ``n`` given pairs, for
+    the checks that take their points as given and reduce them whole."""
+
+    def __init__(self, n: int):
+        self.dist, self.value, self.keep, self.at = np.empty(n), np.empty(n), np.zeros(n, bool), 0
+
+    def fold(self, pick, dist, value, points, rows):
+        at, self.at = self.at, self.at + len(points[0])
+        rows = slice(at, self.at) if rows is None else at + rows
+        self.keep[rows] = True
+        self.dist[rows], self.value[rows] = dist, value
+
+    def arrays(self) -> tuple:
+        """``(dist, value, rows)`` of the kept pairs; ``rows`` is ``None``
+        when every pair is kept."""
+        if self.keep.all():
+            return self.dist, self.value, None
+        rows = np.flatnonzero(self.keep)
+        return self.dist[rows], self.value[rows], rows
+
+
+class _Probe(NamedTuple):
+    """One class statistic measured on a draw.  ``folds[i]`` are the
+    selections the kept pairs of the draw's batch ``i`` fold into;
+    ``arrays(*lifted)`` gives the statistic's ``(x, u, y, v)`` from the
+    engine's lifted block (``None``: the block itself).  A witness is
+    ``(x, u, y, v)`` when ``graph``, else ``(x, y)``."""
+
+    name: str
+    graph: bool
+    folds: list
+    params: Optional[dict] = None
+    arrays: Optional[Callable] = None
+
+
 def _lift(target):
     """``(x, y) -> (x, u, y, v)``: graph points of an operator, values of a map."""
     if isinstance(target, MonotoneOperator):
@@ -445,53 +537,61 @@ def _lift(target):
     return lambda x, y: (x, target(x), y, target(y))
 
 
-# Rows per block of a statistic, so that its temporaries stay small beside
-# the (n, dim) arrays of the pairs.
-_BLOCK = 4096
+def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
+    """The engine's block loop.  Each batch of ``draw``, a tuple of
+    ``(n, dim)`` arrays, is cut into blocks of ``_block_rows(dim)`` rows
+    (an empty batch is one empty block), which ``lift`` maps to the
+    oracle's arrays (``None``: as given).  For each probe, the class
+    statistic gives every pair a distance and a value, pairs at distance 0
+    are dropped and the kept pairs fold into the probe's selections.
+
+    Failed arithmetic raises :class:`NumericalFailure`, so it never passes
+    for consistency, and the failure raised is the first one of a
+    probe-by-probe, batch-by-batch measurement, distances before values:
+    a non-finite distance of the first probe raises at once, its
+    non-finite kept value at the end of the batch, and a later probe's
+    failure at the end of the draw."""
+    failures = []  # (probe, batch, 0 for a distance or 1 for a value, what failed)
+
+    def fail():
+        _, _, kind, name = min(failures)
+        return NumericalFailure(
+            f"non-finite {name} {'statistic' if kind else 'distance'} on the sampled pairs")
+
+    for i, batch in enumerate(draw):
+        n, step = len(batch[0]), _block_rows(batch[0].shape[1])
+        for lo in range(0, max(n, 1), step):
+            block = tuple(a[lo:lo + step] for a in batch)
+            lifted = block if lift is None else lift(*block)
+            for p, probe in enumerate(probes):
+                spec = CLASSES[probe.name]
+                arrays = lifted if probe.arrays is None else probe.arrays(*lifted)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dist, value = spec.statistic(*arrays, probe.params)
+                if not np.isfinite(dist).all():
+                    failures.append((p, i, 0, probe.name))
+                    if p == 0:
+                        raise fail()
+                keep = dist > 0
+                rows = None
+                if not keep.all():
+                    rows = np.flatnonzero(keep)
+                    dist, value = dist[rows], value[rows]
+                if not np.isfinite(value).all():
+                    failures.append((p, i, 1, probe.name))
+                points = arrays if probe.graph else arrays[::2]
+                for fold in probe.folds[i]:
+                    fold.fold(spec.extreme, dist, value, points, rows)
+        if failures and (min(failures)[0] == 0 or i == len(draw) - 1):
+            raise fail()
 
 
-def _measure(name: str, arrays, graph: bool, params=None) -> _Batch:
-    """The class statistic on lifted pairs, pairs at distance 0 dropped."""
-    n = len(arrays[0])
-    dist, value = np.empty(n), np.empty(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, n, _BLOCK):
-            rows = slice(i, i + _BLOCK)
-            dist[rows], value[rows] = CLASSES[name].statistic(*(a[rows] for a in arrays), params)
-    keep = dist > 0
-    if not np.all(np.isfinite(dist)):
-        raise NumericalFailure(f"non-finite {name} distance on the sampled pairs")
-    if np.all(keep):
-        keep = None
-    else:
-        dist, value = dist[keep], value[keep]
-    if not np.all(np.isfinite(value)):
-        raise NumericalFailure(f"non-finite {name} statistic on the sampled pairs")
-    return _Batch(arrays if graph else arrays[::2], keep, dist, value)
-
-
-def _measure_draw(name: str, lifted, graph: bool) -> list:
-    """``(radius, batch)`` for each ``(radius, arrays)`` of a lifted draw."""
-    return [(r, _measure(name, a, graph)) for r, a in lifted]
-
-
-def _extreme(name: str, batches, select=None) -> _Extreme:
-    """The worst kept pair over ``batches`` where ``select(dist)`` holds (all
-    pairs when ``None``); an earlier batch wins a tie, as in one argmax over
-    their concatenation."""
-    pick, best, count = CLASSES[name].extreme, _EMPTY, 0
-    for b in batches:
-        mask = None if select is None else select(b.dist)
-        vals = b.value if mask is None else b.value[mask]
-        if vals.size == 0:
-            continue
-        count += vals.size
-        j = int(pick(vals))
-        if best.value is None or pick([best.value, vals[j]]) == 1:  # strictly worse
-            row = j if mask is None else np.flatnonzero(mask)[j]
-            row = row if b.keep is None else np.flatnonzero(b.keep)[row]
-            best = _Extreme(float(vals[j]), _points(*(a[row] for a in b.points)), 0)
-    return best._replace(count=count)
+def _kept(name: str, arrays) -> tuple:
+    """``(dist, value, rows)`` of the kept pairs of given ``(x, u, y, v)``
+    (``rows`` ``None`` when every pair is kept)."""
+    kept = _Kept(len(arrays[0]))
+    _measure([_Probe(name, False, [[kept]])], [arrays])
+    return kept.arrays()
 
 
 def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: int,
@@ -512,11 +612,9 @@ def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: 
     )
 
 
-def _judge(name: str, batch: _Batch, seed: int, samples: int, params: dict, probe: float,
-           select=None):
-    """Certificate of a class from the worst pair of one measured batch;
-    ``seed`` and ``samples`` record the draw the pairs came from."""
-    worst = _extreme(name, [batch], select)
+def _judge(name: str, worst: _Extreme, seed: int, samples: int, params: dict, probe: float):
+    """Certificate of a class from its worst pair; ``seed`` and ``samples``
+    record the draw the pairs came from."""
     vacuous = worst.value is None
     return _certificate(
         name, params, [{"probe": probe, "value": worst.value}],
@@ -527,19 +625,20 @@ def _judge(name: str, batch: _Batch, seed: int, samples: int, params: dict, prob
 
 def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
     """Certificate of a class from one batch of sampled pairs."""
-    X, Y = pair_batches(cfg)
-    batch = _measure(name, _lift(target)(X, Y), isinstance(target, MonotoneOperator), params)
-    return _judge(name, batch, cfg.seed, cfg.sample_count,
+    worst = _Worst()
+    _measure([_Probe(name, isinstance(target, MonotoneOperator), [[worst]], params)],
+             [pair_batches(cfg)], _lift(target))
+    return _judge(name, worst.found[0], cfg.seed, cfg.sample_count,
                   {**params, "sampler": cfg.describe()}, probe)
 
 
-def _ring_probe(name: str, rings, floor: float, decaying=float):
+def _ring_probe(probe: _Probe, radii, decaying=float):
     """The scale probe: per ring ``(radius, worst pair at distance >= floor)``
     and, when ``decaying(value)`` falls geometrically across the rings with
     at least ``MIN_RING_PAIRS`` pairs (never up by more than 30 %, the last
     at most ``DECAY_THRESHOLD`` times the first), the last such ring's worst
     pair."""
-    ends = [(r, _extreme(name, [b], lambda d: d >= floor)) for r, b in rings]
+    ends = [(r, folds[-1].found[0]) for r, folds in zip(radii, probe.folds[1:])]
     valid = [e for _, e in ends if e.count >= MIN_RING_PAIRS]
     seq = [decaying(e.value) for e in valid]
     decays = (
@@ -592,18 +691,27 @@ def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float],
     ``DECAY_THRESHOLD`` (ratio tending to one at infinity).
     """
     eps = _knots(eps_list, "eps_list")
-    return _cld(_draw(cfg, eps, _lift(T)), eps, cfg)
+    radii, draw = _draw(cfg, eps)
+    probe = _cld_probe(eps, len(radii))
+    _measure([probe], draw, _lift(T))
+    return _cld(probe, radii, eps, cfg)
 
 
-def _cld(lifted, eps, cfg) -> ClassCertificate:
-    name = "contraction-large-distances"
-    batches = _measure_draw(name, lifted, False)
-    # the ring pairs join the sampled batch in beta(eps)
-    pool = [b for _, b in batches]
-    betas = [_extreme(name, pool, lambda d, e=e: d >= e) for e in eps]
+def _cld_probe(eps, rings: int, arrays=None) -> _Probe:
+    """The CLD probe of a :func:`_draw` with ``rings`` rings: the shells
+    ``d >= eps`` pooled over the sampled batch and the rings, and per ring
+    its pairs at distance at least ``eps[0]``."""
+    shells = _Worst(eps, nested=True)
+    return _Probe("contraction-large-distances", False,
+                  [[shells]] + [[shells, _Worst(eps[:1])] for _ in range(rings)], arrays=arrays)
+
+
+def _cld(probe: _Probe, radii, eps, cfg) -> ClassCertificate:
+    name = probe.name
+    betas = probe.folds[0][0].found
     worst = max((b for b in betas if b.value is not None), key=lambda b: b.value, default=None)
     absolute = worst is not None and CLASSES[name].refutes(worst.value, {})
-    ends, decay = _ring_probe(name, batches[1:], eps[0], lambda v: 1.0 - v)
+    ends, decay = _ring_probe(probe, radii, lambda v: 1.0 - v)
     return _certificate(
         name,
         {
@@ -685,18 +793,26 @@ def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerC
     geometrically across scale rings of ``ring_samples`` pairs each.
     """
     knots = _knots(t_list, "t_list")
-    return _modulus(_draw(cfg, knots, _lift(A), ring_samples), knots, cfg)
+    radii, draw = _draw(cfg, knots, ring_samples)
+    probe = _modulus_probe(knots, len(radii))
+    _measure([probe], draw, _lift(A))
+    return _modulus(probe, radii, knots, cfg)
 
 
-def _modulus(lifted, knots, cfg) -> ModulusEstimate:
-    name = "uniformly-monotone"
-    (_, main), *rings = _measure_draw(name, lifted, True)
-    edges = knots + [np.inf]
-    bins = [_extreme(name, [main], lambda d, lo=lo, hi=hi: (d >= lo) & (d < hi))
-            for lo, hi in zip(edges, edges[1:])]
+def _modulus_probe(knots, rings: int, arrays=None) -> _Probe:
+    """The modulus probe of a :func:`_draw` with ``rings`` rings: the bins
+    ``[t_i, t_{i+1})`` of the sampled batch, and per ring its pairs at
+    distance at least ``t_0``."""
+    return _Probe("uniformly-monotone", True,
+                  [[_Worst(knots)]] + [[_Worst(knots[:1])] for _ in range(rings)], arrays=arrays)
+
+
+def _modulus(probe: _Probe, radii, knots, cfg) -> ModulusEstimate:
+    name = probe.name
+    bins = probe.folds[0][0].found
     hit = next((e for e in bins if e.value is not None and CLASSES[name].refutes(e.value, {})),
                None)
-    ends, decay = _ring_probe(name, rings, knots[0])
+    ends, decay = _ring_probe(probe, radii)
     by_decay = hit is None and decay is not None
     return _certificate(
         name,
@@ -779,12 +895,11 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
     ns = np.arange(1, min(n_max, family.n_cap) + 1)
     X, Y = _rows([family.generator(int(n)) for n in ns])
     TX, TY = T(X), T(Y)
-    batch = _measure(name, (X, TX, Y, TY), False)
-    if batch.keep is not None:
-        ns, X, TX, Y, TY = (a[batch.keep] for a in (ns, X, TX, Y, TY))
+    b, premise, rows = _kept(name, (X, TX, Y, TY))
+    if rows is not None:
+        ns, X, TX, Y, TY = (a[rows] for a in (ns, X, TX, Y, TY))
     if ns.size == 0:
         raise DomainError(f"family {family.name!r} has no pair with x_n != y_n")
-    b, premise = batch.dist, batch.value
     gap = _norm((X - Y) - (TX - TY))
     scale = b if mode == "sne" else b * b
     tail = max(3, len(ns) // 4)
@@ -875,7 +990,10 @@ def check_growth(pairs) -> ClassCertificate:
     liminf at infinity.  Pairs that all have ``x = y`` hold it vacuously.
     The certificate's seed and sample count are 0: the pairs come as given."""
     name = "growth-condition"
-    return _judge(name, _measure(name, _pair_rows(pairs), True), 0, 0, {}, 0.9, _top_decile)
+    arrays = _pair_rows(pairs)
+    dist, value, rows = _kept(name, arrays)
+    worst = _lead(CLASSES[name].extreme, _EMPTY, value, _top_decile(dist), arrays, rows)
+    return _judge(name, worst, 0, 0, {}, 0.9)
 
 
 def check_coercive(samples) -> ClassCertificate:
@@ -890,13 +1008,14 @@ def check_coercive(samples) -> ClassCertificate:
     name = "coercive"
     X, XS = _rows(samples)
     origin = np.zeros_like(X)
-    batch = _measure(name, (X, XS, origin, origin), True)
-    if batch.dist.size == 0:  # _judge's vacuous case, with a note in coercivity's terms
+    arrays = (X, XS, origin, origin)
+    dist, value, rows = _kept(name, arrays)
+    if dist.size == 0:  # _judge's vacuous case, with a note in coercivity's terms
         return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, 0, 0,
                             notes="vacuous: every sampled x is 0")
-    edges = np.quantile(batch.dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
-    shells = [_extreme(name, [batch], lambda d, lo=lo, hi=hi: (d >= lo) & (d <= hi))
-              for lo, hi in zip(edges, edges[1:])]
+    edges = np.quantile(dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
+    shells = [_lead(CLASSES[name].extreme, _EMPTY, value, (dist >= lo) & (dist <= hi), arrays,
+                    rows) for lo, hi in zip(edges, edges[1:])]
     # the minima rise: two shells or more, no drop beyond 1e-12, the last above
     # the first by 1e-9; else the first dropping shell (or the last) refutes
     mins = [e for e in shells if e.value is not None]
@@ -982,24 +1101,34 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
 
     ``J_A`` runs once per drawn point: ``A^{-1}``'s graph and ``R_A`` follow
     from it as ``Id - J_A`` and ``2 J_A - Id``.  The three probes share one
-    draw when ``eps_list`` and ``t_list`` hold the same values; otherwise the
-    CLD probe draws its own pairs at the ``eps`` shells.
+    draw, measured in one pass over its blocks, when ``eps_list`` and
+    ``t_list`` hold the same values; otherwise the CLD probe draws its own
+    pairs at the ``eps`` shells.
     """
     knots, eps = _knots(t_list, "t_list"), _knots(eps_list, "eps_list")
 
     def graph(x, y):
         return x, y, minty_sample(A, x), minty_sample(A, y)
 
-    def lifted(draw, arrays):  # lazily, so a map probe drops each batch's values once measured
-        return ((r, arrays(*d)) for r, d in draw)
-
-    draw = _draw(cfg, knots, graph)
-    m1 = _modulus(lifted(draw, lambda x, y, g, h: (*g, *h)), knots, cfg)
     # A^-1's graph and R_A by the expressions of invert() and reflected_map()
-    m2 = _modulus(lifted(draw, lambda x, y, g, h: (g.xstar, x - g.xstar, h.xstar, y - h.xstar)),
-                  knots, cfg)
-    c3 = _cld(lifted(draw if eps == knots else _draw(cfg, eps, graph),
-                     lambda x, y, g, h: (x, 2.0 * g.x - x, y, 2.0 * h.x - y)), eps, cfg)
+    def inverse(x, y, g, h):
+        return g.xstar, x - g.xstar, h.xstar, y - h.xstar
+
+    def reflected(x, y, g, h):
+        return x, 2.0 * g.x - x, y, 2.0 * h.x - y
+
+    radii, draw = _draw(cfg, knots)
+    m1 = _modulus_probe(knots, len(radii), lambda x, y, g, h: (*g, *h))
+    m2 = _modulus_probe(knots, len(radii), inverse)
+    c3 = _cld_probe(eps, len(radii), reflected)  # every draw has RING_COUNT rings
+    if eps == knots:
+        _measure([m1, m2, c3], draw, graph)
+    else:
+        _measure([m1, m2], draw, graph)
+        del draw
+        _measure([c3], _draw(cfg, eps)[1], graph)
+    m1, m2 = (_modulus(m, radii, knots, cfg) for m in (m1, m2))
+    c3 = _cld(c3, radii, eps, cfg)
     verdicts = (m1.verdict, m2.verdict, c3.verdict)
     agrees = (verdicts[:2] == (CONSISTENT, CONSISTENT)) == (c3.verdict == CONSISTENT)
     return SelfDualReport(

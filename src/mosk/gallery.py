@@ -506,7 +506,7 @@ def staircase_eval(x):
     """
     p = default_staircase()
     pts = np.asarray(x, dtype=float)
-    x1 = pts[..., 0]
+    x1 = pts[..., 0].copy()  # contiguous: np.searchsorted is slow on a strided column
     if np.any(x1 > p.a[p.cap]):
         raise SequenceOverflow(
             f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}"
@@ -516,7 +516,8 @@ def staircase_eval(x):
     frac = (x1 - p.a.take(safe - 1)) / p.pow2.take(safe)
     vals = p.prefix.take(safe - 1, axis=0)
     vals += frac[..., None] * p.kw.take(safe, axis=0)
-    return np.where((idx == 0)[..., None], 0.0, vals)
+    vals[idx == 0] = 0.0
+    return vals
 
 
 def staircase_witnesses(n: int):

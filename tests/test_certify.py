@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -752,3 +753,167 @@ def test_row_reductions_only_in_rowsum_and_no_resize():
                     and getattr(top, "name", None) != "_rowsum"):
                 bad.append((node.lineno, ast.unparse(node.func)))
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# The block engine against the whole-batch reductions it replaced
+# ---------------------------------------------------------------------------
+
+
+def _measure_reference(name, arrays, graph, params=None):
+    # the whole batch measured at once; a batch is (points, keep, dist, value)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist, value = certify.CLASSES[name].statistic(*arrays, params)
+    keep = dist > 0
+    if not np.all(np.isfinite(dist)):
+        raise NumericalFailure(f"non-finite {name} distance on the sampled pairs")
+    if np.all(keep):
+        keep = None
+    else:
+        dist, value = dist[keep], value[keep]
+    if not np.all(np.isfinite(value)):
+        raise NumericalFailure(f"non-finite {name} statistic on the sampled pairs")
+    return (arrays if graph else arrays[::2], keep, dist, value)
+
+
+def _extreme_reference(name, batches, select=None):
+    # one reduction per selection over the batches' concatenation
+    pick, best, count = certify.CLASSES[name].extreme, certify._EMPTY, 0
+    for points, keep, dist, value in batches:
+        mask = None if select is None else select(dist)
+        vals = value if mask is None else value[mask]
+        if vals.size == 0:
+            continue
+        count += vals.size
+        j = int(pick(vals))
+        if best.value is None or pick([best.value, vals[j]]) == 1:
+            row = j if mask is None else np.flatnonzero(mask)[j]
+            row = row if keep is None else np.flatnonzero(keep)[row]
+            best = certify._Extreme(float(vals[j]), certify._points(*(a[row] for a in points)), 0)
+    return best._replace(count=count)
+
+
+BLOCK = certify._block_rows(1)
+
+
+def _tied_pairs(n, seed):
+    # pairs on an integer grid: distances and ratios repeat, so the worst
+    # value ties across blocks; every 7th pair has x = y
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-4, 5, size=(n, 1)).astype(float)
+    Y = rng.integers(-4, 5, size=(n, 1)).astype(float)
+    Y[3::7] = X[3::7]
+    return X, Y
+
+
+def _quantized(x):
+    return np.floor(0.5 * x)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("name, graph", [("contraction-large-distances", False),
+                                         ("uniformly-monotone", True)])
+def test_engine_matches_the_whole_batch_reference(n, name, graph):
+    main = _tied_pairs(n, seed=n)
+    # an empty ring and rings below, at and above MIN_RING_PAIRS
+    rings = [_tied_pairs(m, seed=n + m) for m in (0, 10, certify.MIN_RING_PAIRS, 300)]
+    knots = [0.5, 1.0, 2.0, 4.0, 1e6]  # nothing reaches the last knot
+    lift = lambda x, y: (x, _quantized(x), y, _quantized(y))  # noqa: E731
+    every, bins, shells = certify._Worst(), certify._Worst(knots), certify._Worst(knots, True)
+    ends = [certify._Worst(knots[:1]) for _ in rings]
+    folds = [[every, bins, shells]] + [[shells, e] for e in ends]
+    certify._measure([certify._Probe(name, graph, folds)], [main] + rings, lift)
+
+    batches = [_measure_reference(name, lift(x, y), graph) for x, y in [main] + rings]
+    edges = knots + [np.inf]
+    assert every.found == [_extreme_reference(name, batches[:1])]
+    assert bins.found == [
+        _extreme_reference(name, batches[:1], lambda d, lo=lo, hi=hi: (d >= lo) & (d < hi))
+        for lo, hi in zip(edges, edges[1:])]
+    assert shells.found == [_extreme_reference(name, batches, lambda d, e=e: d >= e)
+                            for e in knots]
+    assert [e.found[0] for e in ends] == [_extreme_reference(name, [b], lambda d: d >= knots[0])
+                                          for b in batches[1:]]
+    assert bins.found[-1] == certify._EMPTY and ends[0].found[0] == certify._EMPTY
+    if n > 2 * BLOCK:  # the worst value recurs in later blocks, where the first one must win
+        _, keep, _, value = batches[0]
+        rows = np.arange(n) if keep is None else np.flatnonzero(keep)
+        pick = certify.CLASSES[name].extreme
+        assert np.any(rows[value == value[pick(value)]] >= BLOCK)
+
+
+def test_engine_raises_a_later_distance_before_an_earlier_value():
+    n = 3 * BLOCK + 5
+    X, Y = np.ones((n, 1)), np.zeros((n, 1))
+    U, V = 0.5 * X, 0.5 * Y
+    U[5] = np.nan                     # block 1: a non-finite ratio
+    X[2 * BLOCK + 3] = 1e300          # block 3: |x - y|^2 overflows
+    probe = certify._Probe("nonexpansive", False, [[certify._Worst()]] * 2)
+    lifted = []
+
+    def lift(*block):
+        lifted.append(len(block[0]))
+        return block
+
+    want = "non-finite nonexpansive distance on the sampled pairs"
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalFailure, match=want):
+            _measure_reference("nonexpansive", (X, U, Y, V), False)
+        with pytest.raises(NumericalFailure, match=want):
+            certify._measure([probe], [(X, U, Y, V)], lift)
+        assert len(lifted) == 3  # the distance raises at once
+        X[2 * BLOCK + 3] = 1.0
+        lifted.clear()
+        with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
+            certify._measure([probe], [(X, U, Y, V)] * 2, lift)
+        assert len(lifted) == 4  # the value at the end of its batch
+
+
+def test_engine_raises_the_first_probe_failure_of_a_probe_by_probe_measurement():
+    # the first probe's value fails in the second batch, the second probe's
+    # distance in the first: measured probe by probe, the first one raises
+    draw = [(np.ones((10, 1)), np.zeros((10, 1))), (np.full((10, 1), 7.0), np.zeros((10, 1)))]
+    half = lambda x: np.where(x == 7.0, np.nan, 0.5 * x)  # noqa: E731
+    first = certify._Probe("nonexpansive", False, [[certify._Worst()]] * 2,
+                           arrays=lambda x, y: (x, half(x), y, half(y)))
+    second = certify._Probe("strongly-monotone", False, [[certify._Worst()]] * 2,
+                            arrays=lambda x, y: (1e200 * x, x, 1e200 * y, y))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
+            certify._measure([first, second], draw)
+        with pytest.raises(NumericalFailure, match="non-finite strongly-monotone distance"):
+            certify._measure([first, second], draw[:1])
+
+
+# ---------------------------------------------------------------------------
+# Memory: a certifier holds its draw and one block
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["lipschitz-shift", "modulus-cubic", "selfdual-cubic"])
+def test_certifier_peak_is_its_draw_plus_one_block(case):
+    n = 100_000
+    if case == "lipschitz-shift":
+        cfg, T = SamplerConfig.symmetric(1, n, 8, 50.0), gallery.mapping("shift", 8)
+        draw = [certify.pair_batches(cfg)]
+        run = lambda: certify.certify_lipschitz(T, cfg)  # noqa: E731
+    else:
+        cfg, A = SamplerConfig.symmetric(1, n, 1, 50.0), gallery.operator("cubic")
+        rings = certify._ring_pair_batches(np.random.default_rng(cfg.seed + 1), 1, 0.5,
+                                           certify.RING_BASE, certify.RING_COUNT,
+                                           certify.RING_SAMPLES)
+        draw = [certify.pair_batches(cfg, certify.PROBES)] + [(x, y) for _, x, y in rings]
+        run = ((lambda: certify.estimate_modulus(A, certify.PROBES, cfg)) if case == "modulus-cubic"
+               else (lambda: certify.check_selfdual(A, cfg)))
+    draw_bytes = sum(a.nbytes for batch in draw for a in batch)
+    del draw
+    assert _traced_peak(run) <= draw_bytes + 2 * 2**20

@@ -82,6 +82,41 @@ def test_staircase_eval_matches_mp_oracle():
         assert got[i, 1] == pytest.approx(float(ref1), rel=1e-13)
 
 
+def _staircase_eval_reference(x):
+    # the np.where form, on the strided first column
+    p = gallery.default_staircase()
+    pts = np.asarray(x, dtype=float)
+    x1 = pts[..., 0]
+    idx = np.searchsorted(p.a, x1, side="left")
+    safe = np.clip(idx, 1, p.cap)
+    frac = (x1 - p.a.take(safe - 1)) / p.pow2.take(safe)
+    vals = p.prefix.take(safe - 1, axis=0)
+    vals += frac[..., None] * p.kw.take(safe, axis=0)
+    return np.where((idx == 0)[..., None], 0.0, vals)
+
+
+def test_staircase_eval_is_the_reference_bit_for_bit():
+    p = gallery.default_staircase()
+    ends = p.a[: p.cap + 1]
+    x1 = np.concatenate([
+        [np.nan, -np.inf, -0.0, 0.0, -1e-300, -5.0, 5e-324],  # NaN, -0.0 and x1 <= 0
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)[:-1],  # segment ends
+        np.random.default_rng(7).uniform(-10.0, p.a[20], 500),
+    ])
+    pts = np.stack([x1, np.linspace(-3.0, 3.0, x1.size)], axis=1)
+    got, want = gallery.staircase_eval(pts), _staircase_eval_reference(pts)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+    assert np.all(np.isnan(got[0]))
+    assert np.array_equal(got[1:3].view(np.int64), np.zeros((2, 2), np.int64))  # +0.0
+    for row in pts[[2, 4, 10, 20]]:  # single points keep their shape
+        one = gallery.staircase_eval(row)
+        assert one.shape == (2,)
+        assert np.array_equal(one.view(np.int64), _staircase_eval_reference(row).view(np.int64))
+
+
 def test_staircase_overflow_guard():
     p = gallery.default_staircase()
     with pytest.raises(SequenceOverflow):
@@ -104,7 +139,7 @@ def test_staircase_eval_non_finite_first_coordinate():
     x, y = np.array([[np.nan, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [3.0, 0.0]])
     T = gallery.staircase_eval
     with pytest.raises(NumericalFailure):
-        certify._measure("nonexpansive", (x, T(x), y, T(y)), False)
+        certify._kept("nonexpansive", (x, T(x), y, T(y)))
 
 
 def test_staircase_witnesses_match_mp_oracle():
