@@ -301,7 +301,7 @@ def _points(*arrays) -> list:
 # v = T(y) for a map, the graph points (x, u) and (y, v) for an operator.  A
 # class statistic gives every pair a distance and a value.  Pairs at
 # distance 0 carry no evidence and are dropped; a non-finite distance or
-# value raises NumericalFailure, so failed arithmetic never passes for
+# kept value raises NumericalFailure, so failed arithmetic never passes for
 # consistency.  The class extreme over a selection of pairs is the estimate
 # and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
 # The engine (_measure) does all of this one block of rows at a time and
@@ -454,14 +454,13 @@ class _Extreme(NamedTuple):
 _EMPTY = _Extreme(None, None, 0)
 
 
-def _lead(pick, best: _Extreme, value, mask, points, rows) -> _Extreme:
-    """``best`` after one more block of kept pairs: their ``value`` where
-    ``mask`` holds (all when ``None``), ``rows`` their rows among the
-    block's ``points`` (all when ``None``).  The block's worst pair takes
-    the lead only when strictly worse, so an earlier block wins a tie, and
+def _lead(pick, best: _Extreme, value, mask, points) -> _Extreme:
+    """``best`` after one more block of pairs: their ``value`` where
+    ``mask`` holds (all when ``None``).  The block's worst pair takes the
+    lead only when strictly worse, so an earlier block wins a tie, and
     within the block the first index ``pick`` returns does, as in one
-    ``pick`` over the concatenation.  The witness is copied from the block
-    as it takes the lead."""
+    ``pick`` over the concatenation.  The witness is copied from the
+    block's ``points`` at that index as it takes the lead."""
     n = value.size if mask is None else int(np.count_nonzero(mask))
     if n == 0:
         return best
@@ -470,55 +469,46 @@ def _lead(pick, best: _Extreme, value, mask, points, rows) -> _Extreme:
     v = float(value[j])
     if best.value is not None and not (v > best.value if top else v < best.value):
         return best._replace(count=best.count + n)
-    row = j if rows is None else int(rows[j])
-    return _Extreme(v, _points(*(a[row] for a in points)), best.count + n)
+    return _Extreme(v, _points(*(a[j] for a in points)), best.count + n)
 
 
 class _Worst:
     """Running worst pairs of a probe over its selections by distance:
     every kept pair when ``edges`` is ``None``, else per edge ``e_i`` the
     shell ``d >= e_i`` when ``nested`` and the bin ``[e_i, e_{i+1})``, the
-    last one unbounded, when not."""
+    last one unbounded, when not.  The edges are positive knots
+    (:func:`_knots`), so ``d >= e_i`` holds for kept pairs only."""
 
     def __init__(self, edges=None, nested=False):
         self.edges, self.nested = edges, nested
         self.found = [_EMPTY] * (1 if edges is None else len(edges))
 
-    def fold(self, pick, dist, value, points, rows):
+    def fold(self, pick, dist, value, points, keep):
         if self.edges is None:
-            masks = [None]
+            masks = [keep]
         else:
             masks = [dist >= e for e in self.edges]
             if not self.nested:  # in [e_i, e_{i+1}): d >= e_i but not d >= e_{i+1}
                 masks = [a > b for a, b in zip(masks, masks[1:])] + masks[-1:]
-        self.found = [_lead(pick, w, value, m, points, rows) for w, m in zip(self.found, masks)]
+        self.found = [_lead(pick, w, value, m, points) for w, m in zip(self.found, masks)]
 
 
 class _Kept:
-    """Every kept pair's distance and value among ``n`` given pairs, for
-    the checks that take their points as given and reduce them whole."""
+    """Every pair's distance, value and keep flag among ``n`` given pairs,
+    for the checks that take their points as given and reduce them whole."""
 
     def __init__(self, n: int):
-        self.dist, self.value, self.keep, self.at = np.empty(n), np.empty(n), np.zeros(n, bool), 0
+        self.dist, self.value, self.keep, self.at = np.empty(n), np.empty(n), np.empty(n, bool), 0
 
-    def fold(self, pick, dist, value, points, rows):
-        at, self.at = self.at, self.at + len(points[0])
-        rows = slice(at, self.at) if rows is None else at + rows
-        self.keep[rows] = True
-        self.dist[rows], self.value[rows] = dist, value
-
-    def arrays(self) -> tuple:
-        """``(dist, value, rows)`` of the kept pairs; ``rows`` is ``None``
-        when every pair is kept."""
-        if self.keep.all():
-            return self.dist, self.value, None
-        rows = np.flatnonzero(self.keep)
-        return self.dist[rows], self.value[rows], rows
+    def fold(self, pick, dist, value, points, keep):
+        at, self.at = self.at, self.at + dist.size
+        self.dist[at:self.at], self.value[at:self.at] = dist, value
+        self.keep[at:self.at] = True if keep is None else keep
 
 
 class _Probe(NamedTuple):
     """One class statistic measured on a draw.  ``folds[i]`` are the
-    selections the kept pairs of the draw's batch ``i`` fold into;
+    selections the pairs of the draw's batch ``i`` fold into;
     ``arrays(*lifted)`` gives the statistic's ``(x, u, y, v)`` from the
     engine's lifted block (``None``: the block itself).  A witness is
     ``(x, u, y, v)`` when ``graph``, else ``(x, y)``."""
@@ -540,58 +530,44 @@ def _lift(target):
 def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
     """The engine's block loop.  Each batch of ``draw``, a tuple of
     ``(n, dim)`` arrays, is cut into blocks of ``_block_rows(dim)`` rows
-    (an empty batch is one empty block), which ``lift`` maps to the
-    oracle's arrays (``None``: as given).  For each probe, the class
-    statistic gives every pair a distance and a value, pairs at distance 0
-    are dropped and the kept pairs fold into the probe's selections.
+    (an empty batch has none), which ``lift`` maps to the oracle's arrays
+    (``None``: as given).  For each probe, the class statistic gives every
+    pair a distance and a value, the pairs at distance 0 are dropped, and
+    each of the probe's selections folds the block with the keep mask
+    (``None`` when every pair is kept).
 
-    Failed arithmetic raises :class:`NumericalFailure`, so it never passes
-    for consistency, and the failure raised is the first one of a
-    probe-by-probe, batch-by-batch measurement, distances before values:
-    a non-finite distance of the first probe raises at once, its
-    non-finite kept value at the end of the batch, and a later probe's
-    failure at the end of the draw."""
-    failures = []  # (probe, batch, 0 for a distance or 1 for a value, what failed)
-
-    def fail():
-        _, _, kind, name = min(failures)
-        return NumericalFailure(
-            f"non-finite {name} {'statistic' if kind else 'distance'} on the sampled pairs")
-
+    Failed arithmetic raises :class:`NumericalFailure` at once, so it never
+    passes for consistency: for each block and probe, a non-finite distance
+    raises, and then so does a non-finite kept value."""
     for i, batch in enumerate(draw):
         n, step = len(batch[0]), _block_rows(batch[0].shape[1])
-        for lo in range(0, max(n, 1), step):
+        for lo in range(0, n, step):
             block = tuple(a[lo:lo + step] for a in batch)
             lifted = block if lift is None else lift(*block)
-            for p, probe in enumerate(probes):
+            for probe in probes:
                 spec = CLASSES[probe.name]
                 arrays = lifted if probe.arrays is None else probe.arrays(*lifted)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     dist, value = spec.statistic(*arrays, probe.params)
                 if not np.isfinite(dist).all():
-                    failures.append((p, i, 0, probe.name))
-                    if p == 0:
-                        raise fail()
+                    raise NumericalFailure(f"non-finite {probe.name} distance on the sampled pairs")
                 keep = dist > 0
-                rows = None
-                if not keep.all():
-                    rows = np.flatnonzero(keep)
-                    dist, value = dist[rows], value[rows]
-                if not np.isfinite(value).all():
-                    failures.append((p, i, 1, probe.name))
+                keep = None if keep.all() else keep
+                if not np.isfinite(value if keep is None else value[keep]).all():
+                    raise NumericalFailure(f"non-finite {probe.name} statistic on the sampled pairs")
                 points = arrays if probe.graph else arrays[::2]
                 for fold in probe.folds[i]:
-                    fold.fold(spec.extreme, dist, value, points, rows)
-        if failures and (min(failures)[0] == 0 or i == len(draw) - 1):
-            raise fail()
+                    fold.fold(spec.extreme, dist, value, points, keep)
 
 
-def _kept(name: str, arrays) -> tuple:
-    """``(dist, value, rows)`` of the kept pairs of given ``(x, u, y, v)``
-    (``rows`` ``None`` when every pair is kept)."""
+def _kept(name: str, arrays, *more) -> tuple:
+    """``(dist, value, kept)`` of the kept pairs of given ``(x, u, y, v)``:
+    their distances, their values and, in ``kept``, their rows of
+    ``arrays`` and of the arrays ``more`` that go with them."""
     kept = _Kept(len(arrays[0]))
     _measure([_Probe(name, False, [[kept]])], [arrays])
-    return kept.arrays()
+    keep = slice(None) if kept.keep.all() else kept.keep
+    return kept.dist[keep], kept.value[keep], tuple(a[keep] for a in (*arrays, *more))
 
 
 def _certificate(name: str, params: dict, estimates: list, refuted: bool, seed: int,
@@ -709,8 +685,8 @@ def _cld_probe(eps, rings: int, arrays=None) -> _Probe:
 def _cld(probe: _Probe, radii, eps, cfg) -> ClassCertificate:
     name = probe.name
     betas = probe.folds[0][0].found
-    worst = max((b for b in betas if b.value is not None), key=lambda b: b.value, default=None)
-    absolute = worst is not None and CLASSES[name].refutes(worst.value, {})
+    # the shells are nested, so the first holds every pair of the others
+    absolute = betas[0].value is not None and CLASSES[name].refutes(betas[0].value, {})
     ends, decay = _ring_probe(probe, radii, lambda v: 1.0 - v)
     return _certificate(
         name,
@@ -721,7 +697,7 @@ def _cld(probe: _Probe, radii, eps, cfg) -> ClassCertificate:
         },
         [{"probe": e, "value": b.value} for e, b in zip(eps, betas)],
         absolute or decay is not None, cfg.seed, cfg.sample_count,
-        worst if absolute else decay,
+        betas[0] if absolute else decay,
         notes="refuted by ring decay of 1 - beta" if decay and not absolute else "",
     )
 
@@ -755,6 +731,8 @@ class Modulus:
     supercoercive_bound: Optional[float] = None
 
     def __post_init__(self):
+        if self.name is None and len(self.table) == 0:
+            raise DomainError("a modulus needs a closed-form name or a table")
         if self.name is not None and self.name not in CLOSED_FORMS:
             raise DomainError(f"no closed-form modulus {self.name!r} in CLOSED_FORMS")
 
@@ -793,6 +771,8 @@ def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerC
     geometrically across scale rings of ``ring_samples`` pairs each.
     """
     knots = _knots(t_list, "t_list")
+    if ring_samples < 0:
+        raise DomainError("ring_samples must be >= 0")
     radii, draw = _draw(cfg, knots, ring_samples)
     probe = _modulus_probe(knots, len(radii))
     _measure([probe], draw, _lift(A))
@@ -893,11 +873,12 @@ def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
         raise DomainError("n_max must be >= 1")
     name = "strongly-nonexpansive" if mode == "sne" else "super-strongly-nonexpansive"
     ns = np.arange(1, min(n_max, family.n_cap) + 1)
+    if ns.size == 0:
+        raise DomainError(f"family {family.name!r} has no index n in 1..{n_max} "
+                          f"(n_cap {family.n_cap})")
     X, Y = _rows([family.generator(int(n)) for n in ns])
     TX, TY = T(X), T(Y)
-    b, premise, rows = _kept(name, (X, TX, Y, TY))
-    if rows is not None:
-        ns, X, TX, Y, TY = (a[rows] for a in (ns, X, TX, Y, TY))
+    b, premise, (X, TX, Y, TY, ns) = _kept(name, (X, TX, Y, TY), ns)
     if ns.size == 0:
         raise DomainError(f"family {family.name!r} has no pair with x_n != y_n")
     gap = _norm((X - Y) - (TX - TY))
@@ -963,15 +944,18 @@ def _rows(points) -> tuple:
         if any(a.ndim != 2 for a in arrays):
             raise DomainError("a batched GraphSample must hold (n, dim) arrays")
         return arrays
+    if len(points) == 0:
+        raise DomainError("no graph points given")
     return tuple(np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in col])
                  for col in zip(*points))
 
 
 def _pair_rows(pairs) -> tuple:
     """``(X, X*, Y, Y*)`` of two batched GraphSamples or of a sequence of
-    graph-point pairs ``(first, second)``."""
+    graph-point pairs ``(first, second)``; an empty sequence is rejected by
+    :func:`_rows`."""
     batched = isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], GraphSample)
-    first, second = pairs if batched else zip(*pairs)
+    first, second = pairs if batched else (tuple(zip(*pairs)) or ((), ()))
     return (*_rows(first), *_rows(second))
 
 
@@ -990,9 +974,8 @@ def check_growth(pairs) -> ClassCertificate:
     liminf at infinity.  Pairs that all have ``x = y`` hold it vacuously.
     The certificate's seed and sample count are 0: the pairs come as given."""
     name = "growth-condition"
-    arrays = _pair_rows(pairs)
-    dist, value, rows = _kept(name, arrays)
-    worst = _lead(CLASSES[name].extreme, _EMPTY, value, _top_decile(dist), arrays, rows)
+    dist, value, arrays = _kept(name, _pair_rows(pairs))
+    worst = _lead(CLASSES[name].extreme, _EMPTY, value, _top_decile(dist), arrays)
     return _judge(name, worst, 0, 0, {}, 0.9)
 
 
@@ -1008,14 +991,13 @@ def check_coercive(samples) -> ClassCertificate:
     name = "coercive"
     X, XS = _rows(samples)
     origin = np.zeros_like(X)
-    arrays = (X, XS, origin, origin)
-    dist, value, rows = _kept(name, arrays)
+    dist, value, arrays = _kept(name, (X, XS, origin, origin))
     if dist.size == 0:  # _judge's vacuous case, with a note in coercivity's terms
         return _certificate(name, {}, [{"probe": 0.0, "value": None}], False, 0, 0,
                             notes="vacuous: every sampled x is 0")
     edges = np.quantile(dist, np.linspace(0.0, 1.0, COERCIVE_SHELLS + 1))
-    shells = [_lead(CLASSES[name].extreme, _EMPTY, value, (dist >= lo) & (dist <= hi), arrays,
-                    rows) for lo, hi in zip(edges, edges[1:])]
+    shells = [_lead(CLASSES[name].extreme, _EMPTY, value, (dist >= lo) & (dist <= hi), arrays)
+              for lo, hi in zip(edges, edges[1:])]
     # the minima rise: two shells or more, no drop beyond 1e-12, the last above
     # the first by 1e-9; else the first dropping shell (or the last) refutes
     mins = [e for e in shells if e.value is not None]

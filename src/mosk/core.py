@@ -289,8 +289,8 @@ def scale(A: MonotoneOperator, gamma: float) -> MonotoneOperator:
     to the scalar root finder for one-dimensional operators with a direct
     evaluation, and raises ``UnsupportedOperator`` otherwise.
     """
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise DomainError("gamma must be positive and finite")
     if gamma == 1.0:
         return A
     props = {}

@@ -51,6 +51,8 @@ class StoppingRule:
             raise DomainError("max_iter must be >= 1")
         if not self.tol_residual >= 0:  # NaN fails too
             raise DomainError("tol_residual must be >= 0")
+        if not self.divergence_guard > 0:
+            raise DomainError("divergence_guard must be > 0")
 
 
 @dataclass

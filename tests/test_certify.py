@@ -317,6 +317,26 @@ def test_check_sequential_scaled_families():
     same = certify.WitnessFamily("same", lambda n: (np.array([float(n)]),) * 2, n_cap=10)
     with pytest.raises(DomainError, match="x_n != y_n"):
         certify.check_sequential(IDENT, same, "ssne", 10)
+    with pytest.raises(DomainError, match="n_max"):
+        certify.check_sequential(IDENT, const, "ssne", 0)
+
+
+def test_empty_given_points_are_domain_errors():
+    # a family with no index to probe, and empty sequences of given points
+    for cap in (0, -3):
+        empty = certify.scaled_pair_family([1.0], [1.0], name="empty", n_cap=cap)
+        with pytest.raises(DomainError, match="'empty' has no index"):
+            certify.check_sequential(IDENT, empty, "sne", 10)
+        with pytest.raises(DomainError, match="'empty' has no index"):
+            certify.certify_sequential(IDENT, "strongly-nonexpansive", cfg1(n=100), [empty])
+    with pytest.raises(DomainError, match="no graph points"):
+        certify.check_growth([])
+    with pytest.raises(DomainError, match="no graph points"):
+        certify.check_coercive([])
+    # an empty batched sample stays vacuous
+    none = core.GraphSample(np.empty((0, 2)), np.empty((0, 2)))
+    assert certify.check_growth((none, none)).notes.startswith("vacuous")
+    assert certify.check_coercive(none).notes.startswith("vacuous")
 
 
 @pytest.mark.parametrize("mode", ["sne", "ssne"])
@@ -427,6 +447,26 @@ def test_modulus_names_a_closed_form():
     assert certify.Modulus(name="t^4/4").value(2.0) == 4.0
     with pytest.raises(DomainError, match="t\\^3"):
         certify.Modulus(name="t^3")
+    # neither a name nor a table: no modulus to evaluate
+    with pytest.raises(DomainError, match="name or a table"):
+        certify.Modulus()
+
+
+def test_estimate_modulus_ring_samples_validation():
+    A, cfg = gallery.operator("cubic"), cfg1(n=300)
+    with pytest.raises(DomainError, match="ring_samples"):
+        certify.estimate_modulus(A, [0.5, 1.0], cfg, ring_samples=-1)
+    est = certify.estimate_modulus(A, [0.5, 1.0], cfg, ring_samples=0)
+    assert all(ring["pairs"] == 0 for ring in est.params["rings"])
+
+
+def test_replay_needs_a_witness_and_a_known_class():
+    c = certify.certify_lipschitz(HALF, cfg1(n=200))
+    assert c.witness is None
+    with pytest.raises(DomainError, match="no witness"):
+        certify.replay(c, HALF)
+    with pytest.raises(DomainError, match="no replay rule"):
+        certify.replay(replace(c, class_name="mystery", witness=[[1.0], [0.0]]), HALF)
 
 
 def test_check_lemma_3_5_fails_closed():
@@ -842,12 +882,12 @@ def test_engine_matches_the_whole_batch_reference(n, name, graph):
         assert np.any(rows[value == value[pick(value)]] >= BLOCK)
 
 
-def test_engine_raises_a_later_distance_before_an_earlier_value():
+def test_engine_raises_an_earlier_value_before_a_later_distance():
     n = 3 * BLOCK + 5
     X, Y = np.ones((n, 1)), np.zeros((n, 1))
     U, V = 0.5 * X, 0.5 * Y
-    U[5] = np.nan                     # block 1: a non-finite ratio
-    X[2 * BLOCK + 3] = 1e300          # block 3: |x - y|^2 overflows
+    U[5] = np.nan                     # block 0: a non-finite ratio
+    X[2 * BLOCK + 3] = 1e300          # block 2: |x - y|^2 overflows
     probe = certify._Probe("nonexpansive", False, [[certify._Worst()]] * 2)
     lifted = []
 
@@ -855,23 +895,20 @@ def test_engine_raises_a_later_distance_before_an_earlier_value():
         lifted.append(len(block[0]))
         return block
 
-    want = "non-finite nonexpansive distance on the sampled pairs"
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericalFailure, match=want):
-            _measure_reference("nonexpansive", (X, U, Y, V), False)
-        with pytest.raises(NumericalFailure, match=want):
-            certify._measure([probe], [(X, U, Y, V)], lift)
-        assert len(lifted) == 3  # the distance raises at once
-        X[2 * BLOCK + 3] = 1.0
-        lifted.clear()
         with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
             certify._measure([probe], [(X, U, Y, V)] * 2, lift)
-        assert len(lifted) == 4  # the value at the end of its batch
+        assert len(lifted) == 1  # the first non-finite number stops the run
+        U[5] = 0.5
+        lifted.clear()
+        with pytest.raises(NumericalFailure, match="non-finite nonexpansive distance"):
+            certify._measure([probe], [(X, U, Y, V)] * 2, lift)
+        assert len(lifted) == 3
 
 
-def test_engine_raises_the_first_probe_failure_of_a_probe_by_probe_measurement():
+def test_engine_raises_the_first_failing_probe_of_the_first_failing_block():
     # the first probe's value fails in the second batch, the second probe's
-    # distance in the first: measured probe by probe, the first one raises
+    # distance in the first: the first batch's failure raises
     draw = [(np.ones((10, 1)), np.zeros((10, 1))), (np.full((10, 1), 7.0), np.zeros((10, 1)))]
     half = lambda x: np.where(x == 7.0, np.nan, 0.5 * x)  # noqa: E731
     first = certify._Probe("nonexpansive", False, [[certify._Worst()]] * 2,
@@ -879,10 +916,10 @@ def test_engine_raises_the_first_probe_failure_of_a_probe_by_probe_measurement()
     second = certify._Probe("strongly-monotone", False, [[certify._Worst()]] * 2,
                             arrays=lambda x, y: (1e200 * x, x, 1e200 * y, y))
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
-            certify._measure([first, second], draw)
         with pytest.raises(NumericalFailure, match="non-finite strongly-monotone distance"):
-            certify._measure([first, second], draw[:1])
+            certify._measure([first, second], draw)
+        with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
+            certify._measure([first, second], draw[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def test_split_shift_basis_x0(tmp_path):
     assert "probe_3" in header
 
 
+def test_split_x0_forms(tmp_path):
+    zero = ["split", "--algo", "pr", "--opA", "zero", "--opB", "zero"]
+    # a basis index beyond the dimension, and a coordinate count that is not it
+    assert main([*zero, "--dim", "2", "--x0", "e3"]) == 1
+    assert main([*zero, "--dim", "2", "--x0", "1,2,3"]) == 1
+    # one value fills every coordinate
+    out = tmp_path / "x0.csv"
+    assert main([*zero, "--dim", "4", "--x0", "2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [float(rows[0][f"x_{i}"]) for i in range(4)] == [2.0] * 4
+
+
 def test_witness_staircase_csv(tmp_path):
     out = tmp_path / "w.csv"
     assert main(["witness", "--example", "staircase-ssne", "--n", "20", "--out", str(out)]) == 0
@@ -377,6 +389,20 @@ def test_certify_numerical_failure_stderr_is_one_line():
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+def test_selfdual_numerical_failure_stderr_is_one_line():
+    # three probes share the draw; the first block's first probe fails first
+    proc = subprocess.run(
+        [sys.executable, "-m", "mosk", "selfdual", "--op", "cubic", "--box=-1e200,1e200",
+         "--samples", "5000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "numerical failure: non-finite uniformly-monotone distance on the sampled pairs"]
 
 
 def test_closed_stdout_pipe_no_traceback():

@@ -51,6 +51,14 @@ def test_predicted_sign(signs, expected):
     assert predicted_sign(signs) == expected
 
 
+def test_combinations_reject_mixed_dimensions():
+    R2 = gallery.mapping("rotator")
+    with pytest.raises(DimensionMismatch):
+        convex_combination(IDENT, R2, 0.5)
+    with pytest.raises(DimensionMismatch):
+        fb_operator(gallery.operator("identity", 1), gallery.operator("zero", 2), 0.5)
+
+
 def test_predicted_sign_validation():
     with pytest.raises(DomainError):
         predicted_sign([1, 0])

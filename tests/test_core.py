@@ -24,6 +24,8 @@ def test_as_point_validation():
         core.as_point([np.inf])
     with pytest.raises(DimensionMismatch):
         core.as_point([1.0, 2.0], dim=3)
+    with pytest.raises(DomainError, match="1-D"):
+        core.as_point([[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("x,expected", [(2.0, 1.0), (0.0, 0.0), (10.0, 2.0)])
@@ -52,6 +54,8 @@ def test_invert_examples():
     xs = RNG.normal(size=(50, 2))
     want = 0.5 * (xs + gallery.rotator_eval(xs))
     assert np.allclose(core.resolvent(core.invert(S), xs), want, atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        core.resolvent(S, [1.0, 2.0, 3.0])
 
 
 def test_invert_roundtrip_and_properties():
@@ -193,6 +197,10 @@ def test_scale_examples():
     assert core.scale(C, 1.0) is C
     with pytest.raises(DomainError):
         core.scale(C, -0.5)
+    # an infinite factor would give a resolvent of NaN
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite"):
+            core.scale(C, gamma)
 
 
 def test_scale_unsupported():

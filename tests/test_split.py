@@ -17,6 +17,9 @@ def test_stopping_rule_validation():
         split.StoppingRule(max_iter=0)
     with pytest.raises(DomainError):
         split.StoppingRule(tol_residual=-1.0)
+    for guard in (np.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="divergence_guard"):
+            split.StoppingRule(divergence_guard=guard)
 
 
 def test_iterate_clamp_sin():
@@ -162,6 +165,10 @@ def test_fejer_check_examples():
     tr = split.iterate(PLUS, [0.0], split.StoppingRule(max_iter=20))
     rep = split.fejer_check(tr, [0.0])
     assert not rep.nonincreasing and rep.first_violation == 0
+    empty = split.IterationTrace(iterates=np.empty((0, 1)), residuals=np.empty(0),
+                                 termination=split.TERM_MAX_ITER)
+    with pytest.raises(DomainError, match="empty trace"):
+        split.fejer_check(empty, [0.0])
 
 
 def test_fejer_check_raises_on_non_finite_distance():
