@@ -64,9 +64,9 @@ SEQ_DECAY_TOL, SEQ_GAP_FLOOR, SEQ_BOUNDED_FACTOR, SEQ_PREMISE_ULPS = 1e-6, 1e-3,
 # Default shell radii t and CLD probes eps (check_selfdual, mosk certify).
 PROBES = (0.5, 1.0, 2.0, 4.0)
 
-# Floats of a lifted block (x, u, y, v): the engine lifts, measures and
-# folds a block of rows at a time, so that a certifier holds its draw and
-# one block.
+# Floats of a lifted block (x, u, y, v): the sampler draws and the engine
+# lifts, measures and folds a block of rows at a time, so that a certifier
+# holds one block and its scale rings.
 _BLOCK_FLOATS = 32768
 
 
@@ -86,8 +86,9 @@ class SamplerConfig:
     """Seeded sampling plan for pair-based certifiers.
 
     Every draw mixes the ``STRATEGIES`` in equal shares, the remainder going
-    to the first.  The batch partition is a pure function of the seed, so
-    estimates are bit-identical across runs.
+    to the first.  The draw is one PCG64 stream of ``seed`` in a fixed
+    layout (:func:`_pair_stream`), so estimates are bit-identical across
+    runs, whether the pairs are drawn whole or a block at a time.
     """
 
     seed: int
@@ -137,7 +138,7 @@ class SamplerConfig:
 def _unit_dirs(rng: np.random.Generator, n: int, d: int, out=None) -> np.ndarray:
     """``n`` random unit vectors of ``R^d``, written to ``out`` when given;
     they are normalised a block of rows at a time, so that the squares
-    never span the whole draw."""
+    never span more than a block."""
     v = np.empty((n, d)) if out is None else out
     if d == 1:  # the draws of rng.choice([-1.0, 1.0], size=(n, 1))
         np.multiply(rng.integers(0, 2, size=(n, 1)), 2.0, out=v)
@@ -158,41 +159,90 @@ def _uniform(rng: np.random.Generator, out: np.ndarray, lo: np.ndarray, hi: np.n
     out += lo
 
 
-def _cycle(ladder: np.ndarray, m: int) -> np.ndarray:
-    """The first ``m`` entries of ``ladder`` repeated."""
-    return np.tile(ladder, -(-m // ladder.size))[:m]
+def _cycle(ladder: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+    """Entries ``start .. start + m - 1`` of ``ladder`` repeated."""
+    s = start % ladder.size
+    return np.tile(ladder, -(-(s + m) // ladder.size))[s:s + m]
+
+
+def _diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
+    """``|hi - lo|``.  The squares overflow from about 1.3e154 on; only
+    then is the width rescaled by its largest magnitude, so every finite
+    plain norm keeps its bits."""
+    w = hi - lo
+    with np.errstate(over="ignore"):
+        diam = float(np.linalg.norm(w))
+    if np.isinf(diam):
+        s = float(np.max(np.abs(w)))
+        diam = s * float(np.linalg.norm(w / s))
+    return diam
+
+
+def _pair_stream(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] = None):
+    """The rows of :func:`pair_batches` as blocks ``(x, y)``, cut at rows
+    ``k * _block_rows(dim)``, so a block may straddle two strategies.
+
+    The draws of one seed's PCG64 stream are laid out as the whole draw
+    takes them: the independent ``x`` then ``y``, the antithetic ``x``,
+    the radial ``x``, then the radial directions.  A uniform float takes one
+    64-bit draw, so each uniform segment reads from its own generator
+    advanced to its offset; the directions are the last segment and are
+    read in order, since normal and sign draws take a varying number.
+    """
+    n, d = cfg.sample_count, cfg.dim
+    lo, hi = cfg.box_low, cfg.box_high
+    k = len(STRATEGIES)
+    counts = [n // k] * k
+    counts[0] += n - sum(counts)
+    if shell_distances is None or len(shell_distances) == 0:
+        ladder = _diagonal(lo, hi) * 2.0 ** (-np.arange(8.0))
+    else:
+        ladder = np.asarray(sorted(shell_distances), dtype=float)
+    m0, m1, m2 = counts
+
+    def cursor(offset: int) -> np.random.Generator:
+        rng = np.random.default_rng(cfg.seed)
+        rng.bit_generator.advance(offset * d)
+        return rng
+
+    xs, ys, anti, rad, dirs = (cursor(o) for o in (0, m0, 2 * m0, 2 * m0 + m1, n + m0))
+
+    def independent(x, y, i):
+        _uniform(xs, x, lo, hi)
+        _uniform(ys, y, lo, hi)
+
+    def antithetic(x, y, i):
+        _uniform(anti, x, lo, hi)
+        np.negative(x, out=y)
+
+    def radial(x, y, i):  # y = x + t * dir
+        _uniform(rad, x, lo, hi)
+        _unit_dirs(dirs, len(y), d, out=y)
+        y *= _cycle(ladder, len(y), i)[:, None]
+        y += x
+
+    segments = [(0, m0, independent), (m0, m1, antithetic), (m0 + m1, m2, radial)]
+    step = _block_rows(d)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        x, y = np.empty((b - a, d)), np.empty((b - a, d))
+        for first, m, fill in segments:
+            p, q = max(a, first), min(b, first + m)
+            if p < q:
+                fill(x[p - a:q - a], y[p - a:q - a], p - first)
+        yield x, y
 
 
 def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] = None):
     """Draw the configured mix of point pairs; returns ``(X, Y)`` of shape
-    ``(n, dim)`` each."""
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.box_low, cfg.box_high
-    k = len(STRATEGIES)
-    counts = [cfg.sample_count // k] * k
-    counts[0] += cfg.sample_count - sum(counts)
-    if shell_distances is None or len(shell_distances) == 0:
-        diam = float(np.linalg.norm(hi - lo))
-        ladder = diam * 2.0 ** (-np.arange(8.0))
-    else:
-        ladder = np.asarray(sorted(shell_distances), dtype=float)
+    ``(n, dim)`` each, the blocks of :func:`_pair_stream` end to end.  The
+    certifiers measure the stream itself, so they never hold the whole
+    draw."""
     X, Y = np.empty((cfg.sample_count, cfg.dim)), np.empty((cfg.sample_count, cfg.dim))
-    end = 0
-    for strat, m in zip(STRATEGIES, counts):
-        if m <= 0:
-            continue
-        rows = slice(end, end + m)
-        end += m
-        x, y = X[rows], Y[rows]
-        _uniform(rng, x, lo, hi)
-        if strat == "independent":
-            _uniform(rng, y, lo, hi)
-        elif strat == "antithetic":
-            np.negative(x, out=y)
-        else:  # radial-shells: y = x + t * dir
-            _unit_dirs(rng, m, cfg.dim, out=y)
-            y *= _cycle(ladder, m)[:, None]
-            y += x
+    at = 0
+    for x, y in _pair_stream(cfg, shell_distances):
+        X[at:at + len(x)], Y[at:at + len(x)] = x, y
+        at += len(x)
     return X, Y
 
 
@@ -221,13 +271,13 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples
 
 
 def _draw(cfg: SamplerConfig, knots, ring_samples=RING_SAMPLES):
-    """The pairs of a profile probe: the ring radii, and the batches
-    ``(x, y)``, first the sampled batch with shells at ``knots``, then the
-    scale rings."""
-    X, Y = pair_batches(cfg, shell_distances=knots)
+    """The pairs of a profile probe: the ring radii, and the batches of
+    blocks ``(x, y)``, first the sampled batch with shells at ``knots``,
+    then the scale rings."""
     rng = np.random.default_rng(cfg.seed + 1)
     rings = _ring_pair_batches(rng, cfg.dim, knots[0], RING_BASE, RING_COUNT, ring_samples)
-    return [r for r, _, _ in rings], [(X, Y)] + [(x, y) for _, x, y in rings]
+    batches = [_pair_stream(cfg, knots)] + [_blocks(x, y) for _, x, y in rings]
+    return [r for r, _, _ in rings], batches
 
 
 def _knots(values, label: str) -> list:
@@ -304,9 +354,10 @@ def _points(*arrays) -> list:
 # kept value raises NumericalFailure, so failed arithmetic never passes for
 # consistency.  The class extreme over a selection of pairs is the estimate
 # and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
-# The engine (_measure) does all of this one block of rows at a time and
-# folds each block into running worst pairs, so no lifted array, distance
-# or value spans the whole draw.
+# The engine (_measure) does all of this one block of rows at a time, as
+# the sampler (_pair_stream) draws them, and folds each block into running
+# worst pairs, so no drawn or lifted array, distance or value spans the
+# whole draw.
 
 
 def _rowsum(p):
@@ -527,10 +578,17 @@ def _lift(target):
     return lambda x, y: (x, target(x), y, target(y))
 
 
+def _blocks(*arrays) -> list:
+    """Given ``(n, dim)`` arrays as a batch: their blocks of
+    ``_block_rows(dim)`` rows, in order (an empty batch has none)."""
+    n, step = len(arrays[0]), _block_rows(arrays[0].shape[1])
+    return [tuple(a[lo:lo + step] for a in arrays) for lo in range(0, n, step)]
+
+
 def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
-    """The engine's block loop.  Each batch of ``draw``, a tuple of
-    ``(n, dim)`` arrays, is cut into blocks of ``_block_rows(dim)`` rows
-    (an empty batch has none), which ``lift`` maps to the oracle's arrays
+    """The engine's block loop.  Each batch of ``draw`` is an iterable of
+    blocks, tuples of arrays of the same rows (:func:`_blocks`,
+    :func:`_pair_stream`), which ``lift`` maps to the oracle's arrays
     (``None``: as given).  For each probe, the class statistic gives every
     pair a distance and a value, the pairs at distance 0 are dropped, and
     each of the probe's selections folds the block with the keep mask
@@ -540,9 +598,7 @@ def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
     passes for consistency: for each block and probe, a non-finite distance
     raises, and then so does a non-finite kept value."""
     for i, batch in enumerate(draw):
-        n, step = len(batch[0]), _block_rows(batch[0].shape[1])
-        for lo in range(0, n, step):
-            block = tuple(a[lo:lo + step] for a in batch)
+        for block in batch:
             lifted = block if lift is None else lift(*block)
             for probe in probes:
                 spec = CLASSES[probe.name]
@@ -565,7 +621,7 @@ def _kept(name: str, arrays, *more) -> tuple:
     their distances, their values and, in ``kept``, their rows of
     ``arrays`` and of the arrays ``more`` that go with them."""
     kept = _Kept(len(arrays[0]))
-    _measure([_Probe(name, False, [[kept]])], [arrays])
+    _measure([_Probe(name, False, [[kept]])], [_blocks(*arrays)])
     keep = slice(None) if kept.keep.all() else kept.keep
     return kept.dist[keep], kept.value[keep], tuple(a[keep] for a in (*arrays, *more))
 
@@ -603,7 +659,7 @@ def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
     """Certificate of a class from one batch of sampled pairs."""
     worst = _Worst()
     _measure([_Probe(name, isinstance(target, MonotoneOperator), [[worst]], params)],
-             [pair_batches(cfg)], _lift(target))
+             [_pair_stream(cfg)], _lift(target))
     return _judge(name, worst.found[0], cfg.seed, cfg.sample_count,
                   {**params, "sampler": cfg.describe()}, probe)
 

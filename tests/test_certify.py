@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -765,6 +766,44 @@ def test_pair_batches_match_the_uniform_reference(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_pair_stream_blocks_are_the_reference_rows(d):
+    # every block is rows [k * step, (k + 1) * step) of the whole draw; at
+    # 3 step + 5 rows block 1 straddles the independent/antithetic boundary
+    # (step + 3) and block 2 the antithetic/radial one (2 step + 4)
+    step = certify._block_rows(d)
+    lo, hi = _boxes(d)[1]
+    for n in (1, 2, step - 1, step, step + 1, 3 * step + 5):
+        cfg = SamplerConfig(seed=7 * d + n, sample_count=n, box_low=lo, box_high=hi)
+        for shells in (None, [0.5, 3.0, 0.1]):
+            Xr, Yr = _pair_batches_reference(cfg, shells)
+            blocks = list(certify._pair_stream(cfg, shells))
+            assert len(blocks) == -(-n // step)
+            for k, (x, y) in enumerate(blocks):
+                rows = slice(k * step, (k + 1) * step)
+                assert np.array_equal(_bits(x), _bits(Xr[rows]))
+                assert np.array_equal(_bits(y), _bits(Yr[rows]))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_radial_shells_on_a_1e200_box_are_finite(d):
+    # the plain norm of the box diagonal overflows from about 1.3e154 on
+    cfg = SamplerConfig.symmetric(0, 20_000, d, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, Y = certify.pair_batches(cfg)
+    radial = slice(20_000 - 20_000 // 3, None)
+    sep = Y[radial] - X[radial]
+    assert np.isfinite(sep).all()
+    top = np.max(np.abs(sep), axis=1)
+    ladder = 2e200 * np.sqrt(d) * 2.0 ** -np.arange(8.0)
+    assert np.allclose(top * np.linalg.norm(sep / top[:, None], axis=1),
+                       certify._cycle(ladder, len(top)), rtol=1e-12)
+    # a finite plain norm keeps its bits
+    box = SamplerConfig.symmetric(0, 1, d, 1e150)
+    assert certify._diagonal(box.box_low, box.box_high) == np.linalg.norm(2e150 * np.ones(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_ring_pair_batches_match_the_resize_reference(d):
     for floor, samples in ((0.5, 2048), (3.0, 1000), (1e3, 7)):
         got = certify._ring_pair_batches(np.random.default_rng(d), d, floor, 1.0, 15, samples)
@@ -862,7 +901,8 @@ def test_engine_matches_the_whole_batch_reference(n, name, graph):
     every, bins, shells = certify._Worst(), certify._Worst(knots), certify._Worst(knots, True)
     ends = [certify._Worst(knots[:1]) for _ in rings]
     folds = [[every, bins, shells]] + [[shells, e] for e in ends]
-    certify._measure([certify._Probe(name, graph, folds)], [main] + rings, lift)
+    certify._measure([certify._Probe(name, graph, folds)],
+                     [certify._blocks(*b) for b in [main] + rings], lift)
 
     batches = [_measure_reference(name, lift(x, y), graph) for x, y in [main] + rings]
     edges = knots + [np.inf]
@@ -897,19 +937,20 @@ def test_engine_raises_an_earlier_value_before_a_later_distance():
 
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalFailure, match="non-finite nonexpansive statistic"):
-            certify._measure([probe], [(X, U, Y, V)] * 2, lift)
+            certify._measure([probe], [certify._blocks(X, U, Y, V)] * 2, lift)
         assert len(lifted) == 1  # the first non-finite number stops the run
         U[5] = 0.5
         lifted.clear()
         with pytest.raises(NumericalFailure, match="non-finite nonexpansive distance"):
-            certify._measure([probe], [(X, U, Y, V)] * 2, lift)
+            certify._measure([probe], [certify._blocks(X, U, Y, V)] * 2, lift)
         assert len(lifted) == 3
 
 
 def test_engine_raises_the_first_failing_probe_of_the_first_failing_block():
     # the first probe's value fails in the second batch, the second probe's
     # distance in the first: the first batch's failure raises
-    draw = [(np.ones((10, 1)), np.zeros((10, 1))), (np.full((10, 1), 7.0), np.zeros((10, 1)))]
+    draw = [certify._blocks(np.ones((10, 1)), np.zeros((10, 1))),
+            certify._blocks(np.full((10, 1), 7.0), np.zeros((10, 1)))]
     half = lambda x: np.where(x == 7.0, np.nan, 0.5 * x)  # noqa: E731
     first = certify._Probe("nonexpansive", False, [[certify._Worst()]] * 2,
                            arrays=lambda x, y: (x, half(x), y, half(y)))
@@ -923,7 +964,7 @@ def test_engine_raises_the_first_failing_probe_of_the_first_failing_block():
 
 
 # ---------------------------------------------------------------------------
-# Memory: a certifier holds its draw and one block
+# Memory: a certifier holds one block and its scale rings
 # ---------------------------------------------------------------------------
 
 
@@ -936,21 +977,20 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
 @pytest.mark.parametrize("case", ["lipschitz-shift", "modulus-cubic", "selfdual-cubic"])
-def test_certifier_peak_is_its_draw_plus_one_block(case):
-    n = 100_000
+def test_certifier_peak_is_one_block_plus_its_rings(case, n):
+    ring_bytes = 0
     if case == "lipschitz-shift":
         cfg, T = SamplerConfig.symmetric(1, n, 8, 50.0), gallery.mapping("shift", 8)
-        draw = [certify.pair_batches(cfg)]
         run = lambda: certify.certify_lipschitz(T, cfg)  # noqa: E731
     else:
         cfg, A = SamplerConfig.symmetric(1, n, 1, 50.0), gallery.operator("cubic")
         rings = certify._ring_pair_batches(np.random.default_rng(cfg.seed + 1), 1, 0.5,
                                            certify.RING_BASE, certify.RING_COUNT,
                                            certify.RING_SAMPLES)
-        draw = [certify.pair_batches(cfg, certify.PROBES)] + [(x, y) for _, x, y in rings]
+        ring_bytes = sum(x.nbytes + y.nbytes for _, x, y in rings)
+        del rings
         run = ((lambda: certify.estimate_modulus(A, certify.PROBES, cfg)) if case == "modulus-cubic"
                else (lambda: certify.check_selfdual(A, cfg)))
-    draw_bytes = sum(a.nbytes for batch in draw for a in batch)
-    del draw
-    assert _traced_peak(run) <= draw_bytes + 2 * 2**20
+    assert _traced_peak(run) <= ring_bytes + 2 * 2**20

@@ -369,12 +369,25 @@ def test_x0_not_a_float_list_is_usage_error(capsys):
 )
 def test_certify_nonfinite_statistic_exit3(klass, capsys):
     # arithmetic overflows on this box: the run fails instead of writing a
-    # verdict with a NaN estimate
-    code = main(["certify", "--op", "cubic", "--class", klass, "--box=-1e200,1e200",
+    # verdict with a NaN estimate.  Coercivity's products <x, x*> of the
+    # cubic's graph stay finite up to a 1e200 box (the test below); they
+    # overflow on a 1e300 one
+    box = "1e300" if klass == "coercive" else "1e200"
+    code = main(["certify", "--op", "cubic", "--class", klass, f"--box=-{box},{box}",
                  "--samples", "2000"])
     captured = capsys.readouterr()
     assert code == 3
     assert "NaN" not in captured.out and "numerical failure" in captured.err
+
+
+def test_certify_coercive_on_a_1e200_box_is_a_verdict(capsys):
+    # the box diagonal 2e200 sizes the radial shells without overflowing, so
+    # every graph point is finite and the cubic's growth is measured
+    code = main(["certify", "--op", "cubic", "--class", "coercive", "--box=-1e200,1e200",
+                 "--samples", "2000"])
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert code == 0 and cert["verdict"] == "consistent"
+    assert all(np.isfinite(row["value"]) for row in cert["estimates"])
 
 
 def test_certify_numerical_failure_stderr_is_one_line():
