@@ -203,6 +203,8 @@ def _reference_witness_csv(example, n, path):
 @pytest.mark.parametrize("example,n", [
     ("staircase-ssne", 1), ("staircase-ssne", 20), ("staircase-ssne", 40),
     ("cone-subdiff-growth", 1), ("cone-subdiff-growth", 5), ("cone-subdiff-growth", 200),
+    # three row blocks, each formatted through the writer's repeated-value path
+    ("cone-subdiff-growth", 1000),
 ])
 def test_witness_csv_matches_csv_writer_reference(example, n, tmp_path, capsys):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,15 +278,62 @@ def _block_rows(width):
     return max(1, split.CSV_BLOCK_VALUES // width)
 
 
+def _block_shares(trace):
+    """The share of distinct float bit patterns in each row block that
+    ``write_csv`` formats, stepped and unstepped rows apart."""
+    n, d = trace.iterates.shape
+    cols = [trace.iterates]
+    if trace.shadows is not None:
+        cols.append(trace.shadows)
+    residuals = np.zeros(n)
+    residuals[:len(trace.residuals)] = trace.residuals
+    cols += [residuals[:, None], trace.iterates[:, list(trace.probe_coords)]]
+    table = np.hstack(cols)
+    step = _block_rows(table.shape[1] + 1)
+    stepped = min(len(trace.residuals), n)
+    shares = []
+    for lo, hi in ((0, stepped), (stepped, n)):
+        for b in range(lo, hi, step):
+            bits = table[b:min(b + step, hi)].view(np.int64)
+            shares.append(np.unique(bits).size / bits.size)
+    return shares
+
+
+def _joined(first, second):
+    """``second`` continued from the end of ``first`` as one trace."""
+    return split.IterationTrace(
+        iterates=np.vstack([first.iterates, second.iterates[1:]]),
+        residuals=np.concatenate([first.residuals, second.residuals]),
+        termination=second.termination,
+        shadows=np.vstack([first.shadows, second.shadows[1:]]),
+        probe_coords=first.probe_coords)
+
+
+@functools.lru_cache(maxsize=None)
 def _csv_cases():
     C, Q = gallery.operator("cubic"), gallery.operator("quartic-mixed")
     Z1, N1 = gallery.operator("zero", 1), gallery.operator("normal-cone-zero", 1)
     S, Z2 = gallery.operator("staircase"), gallery.operator("zero", 2)
     N16, B16 = gallery.operator("normal-cone-zero", 16), gallery.operator("shift", 16)
+    N64, B64 = gallery.operator("normal-cone-zero", 64), gallery.operator("shift", 64)
+    N256, B256 = gallery.operator("normal-cone-zero", 256), gallery.operator("shift", 256)
     x16 = np.random.default_rng(3).uniform(-1.0, 1.0, 16)
+    x64 = np.random.default_rng(5).uniform(-1.0, 1.0, 64)
+    e1 = np.zeros(256)
+    e1[0] = 1.0
     # iter, x_0, y_0, residual: the oscillating PR run spans two row blocks plus two rows
     long_steps = _block_rows(4) + 1
     odd = np.array([[np.inf, -0.0], [np.nan, 5e-324], [-np.inf, 1.0 / 3.0]])
+    # 0.0 and -0.0, three NaN bit patterns, +-inf and the least subnormal,
+    # repeated over more rows than one block holds
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 5e-324])
+    rep = np.resize(specials, (3 * _block_rows(6), 2))
+    # the PR cubic+zero iterates are distinct; the normal-cone-zero+zero tail repeats
+    distinct = split.peaceman_rachford(C, Z1, [1.0], split.StoppingRule(max_iter=3000),
+                                       probe_coords=[0])
+    tail = split.peaceman_rachford(N1, Z1, distinct.final, split.StoppingRule(max_iter=3000),
+                                   probe_coords=[0])
     return {
         "dr-shadows-probes": split.douglas_rachford(
             C, Q, [7.0], split.StoppingRule(max_iter=60), probe_coords=[0]),
@@ -301,7 +350,23 @@ def _csv_cases():
         "non-finite": split.IterationTrace(
             iterates=odd, residuals=np.array([np.nan, -0.0]), termination=split.TERM_DIVERGED,
             shadows=odd[:, ::-1].copy(), probe_coords=(1,)),
+        "pr-shift-64-blocks": split.peaceman_rachford(
+            N64, B64, x64, split.StoppingRule(max_iter=100), probe_coords=range(4)),
+        "pr-shift-e1-256": split.peaceman_rachford(N256, B256, e1, probe_coords=range(8)),
+        "repeated-non-finite": split.IterationTrace(
+            iterates=rep, residuals=rep[1:, 1].copy(), termination=split.TERM_DIVERGED,
+            shadows=rep[::-1].copy(), probe_coords=(1,)),
+        # rows from 300 on are unstepped: their residual field prints empty
+        "repeated-unstepped": split.IterationTrace(
+            iterates=np.resize([1.5, -1.5], (1500, 1)), residuals=np.full(300, 3.0),
+            termination=split.TERM_MAX_ITER, shadows=np.zeros((1500, 1))),
+        "mixed-blocks": _joined(distinct, tail),
     }
+
+
+# cases with a row block on the writer's repeated-value path
+_REPEATED_CASES = {"past-one-block", "pr-shift-64-blocks", "pr-shift-e1-256",
+                   "repeated-non-finite", "repeated-unstepped"}
 
 
 @pytest.mark.parametrize("case", sorted(_csv_cases()))
@@ -313,9 +378,43 @@ def test_write_csv_matches_csv_writer_reference(tmp_path, case, config):
         assert tr.n_steps == 0 and len(tr.residuals) == 0
     if case == "past-one-block":
         assert len(tr.iterates) > _block_rows(4) + 1
+    shares = _block_shares(tr)
+    repeated = [s <= split.CSV_REPEAT_SHARE for s in shares]
+    if case in _REPEATED_CASES or case == "mixed-blocks":
+        assert any(repeated)
+    if case == "mixed-blocks":
+        assert not repeated[0]
+    if case == "repeated-unstepped":
+        assert repeated[-1]
     tr.write_csv(tmp_path / "got.csv", config=config)
     _reference_write_csv(tr, tmp_path / "want.csv", config=config)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_memory_is_block_bounded(tmp_path):
+    # a 258 x 522 trace (the split-trace shift run) whose fields repeat, and
+    # one of distinct values: writing either holds one block, not the file
+    n = 256
+    x0 = np.random.default_rng(11).uniform(-1.0, 1.0, n)
+    repeated = split.peaceman_rachford(
+        gallery.operator("normal-cone-zero", n), gallery.operator("shift", n), x0,
+        split.StoppingRule(max_iter=300), probe_coords=range(8))
+    rng = np.random.default_rng(12)
+    distinct = split.IterationTrace(
+        iterates=rng.standard_normal((n + 2, n)), residuals=rng.random(n + 1),
+        termination=split.TERM_MAX_ITER, shadows=rng.standard_normal((n + 2, n)),
+        probe_coords=tuple(range(8)))
+    for tr, path in ((repeated, "repeated"), (distinct, "distinct")):
+        shares = _block_shares(tr)
+        assert (max(shares) <= split.CSV_REPEAT_SHARE) == (path == "repeated")
+        tracemalloc.start()
+        try:
+            tr.write_csv(tmp_path / f"{path}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.iterates.shape == (258, 256)
+        assert peak < 2 ** 20, (path, peak)
 
 
 def _same_bits(a, b):
