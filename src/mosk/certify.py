@@ -246,13 +246,13 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
     return X, Y
 
 
-def _ring_pair_batches(rng, dim, dist_floor, ring_base, ring_count, ring_samples):
-    """Pairs on nested rings ``|x| in [r, 2r)``, ``r = ring_base * 2^k``,
-    separated by a geometric ladder starting at ``dist_floor``; a ring too
-    small for the ladder holds no pairs."""
+def _ring_pair_batches(rng, dim, dist_floor, ring_samples):
+    """Pairs on the ``RING_COUNT`` nested rings ``|x| in [r, 2r)``,
+    ``r = RING_BASE * 2^k``, separated by a geometric ladder starting at
+    ``dist_floor``; a ring too small for the ladder holds no pairs."""
     rings = []
-    for k in range(ring_count):
-        r = ring_base * 2.0**k
+    for k in range(RING_COUNT):
+        r = RING_BASE * 2.0**k
         smax = 2.0 * r
         if smax < dist_floor:
             rings.append((r, np.empty((0, dim)), np.empty((0, dim))))
@@ -275,7 +275,7 @@ def _draw(cfg: SamplerConfig, knots, ring_samples=RING_SAMPLES):
     blocks ``(x, y)``, first the sampled batch with shells at ``knots``,
     then the scale rings."""
     rng = np.random.default_rng(cfg.seed + 1)
-    rings = _ring_pair_batches(rng, cfg.dim, knots[0], RING_BASE, RING_COUNT, ring_samples)
+    rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_samples)
     batches = [_pair_stream(cfg, knots)] + [_blocks(x, y) for _, x, y in rings]
     return [r for r, _, _ in rings], batches
 
@@ -454,7 +454,9 @@ class ClassSpec(NamedTuple):
     the refutation threshold of a worst value, where the class has one.
     ``run(target, cfg, *, alpha, t, eps, families)`` runs the certifier on a
     ``target`` of the named kind (``map``, ``resolvent``, ``operator`` or
-    ``graph``), looked up by name at the call, so patches of it apply."""
+    ``graph``; :func:`mosk.gallery.target` resolves it for a gallery entry
+    and :func:`mosk.gallery.families` gives ``families``), looking the
+    certifier up by name at the call, so patches of it apply."""
 
     statistic: Callable
     extreme: Optional[Callable]
@@ -724,18 +726,18 @@ def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float],
     """
     eps = _knots(eps_list, "eps_list")
     radii, draw = _draw(cfg, eps)
-    probe = _cld_probe(eps, len(radii))
+    probe = _cld_probe(eps)
     _measure([probe], draw, _lift(T))
     return _cld(probe, radii, eps, cfg)
 
 
-def _cld_probe(eps, rings: int, arrays=None) -> _Probe:
-    """The CLD probe of a :func:`_draw` with ``rings`` rings: the shells
-    ``d >= eps`` pooled over the sampled batch and the rings, and per ring
-    its pairs at distance at least ``eps[0]``."""
+def _cld_probe(eps, arrays=None) -> _Probe:
+    """The CLD probe of a :func:`_draw`: the shells ``d >= eps`` pooled over
+    the sampled batch and the ``RING_COUNT`` rings, and per ring its pairs
+    at distance at least ``eps[0]``."""
     shells = _Worst(eps, nested=True)
-    return _Probe("contraction-large-distances", False,
-                  [[shells]] + [[shells, _Worst(eps[:1])] for _ in range(rings)], arrays=arrays)
+    rings = [[shells, _Worst(eps[:1])] for _ in range(RING_COUNT)]
+    return _Probe("contraction-large-distances", False, [[shells]] + rings, arrays=arrays)
 
 
 def _cld(probe: _Probe, radii, eps, cfg) -> ClassCertificate:
@@ -830,17 +832,17 @@ def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerC
     if ring_samples < 0:
         raise DomainError("ring_samples must be >= 0")
     radii, draw = _draw(cfg, knots, ring_samples)
-    probe = _modulus_probe(knots, len(radii))
+    probe = _modulus_probe(knots)
     _measure([probe], draw, _lift(A))
     return _modulus(probe, radii, knots, cfg)
 
 
-def _modulus_probe(knots, rings: int, arrays=None) -> _Probe:
-    """The modulus probe of a :func:`_draw` with ``rings`` rings: the bins
-    ``[t_i, t_{i+1})`` of the sampled batch, and per ring its pairs at
+def _modulus_probe(knots, arrays=None) -> _Probe:
+    """The modulus probe of a :func:`_draw`: the bins ``[t_i, t_{i+1})`` of
+    the sampled batch, and per ring (``RING_COUNT`` of them) its pairs at
     distance at least ``t_0``."""
-    return _Probe("uniformly-monotone", True,
-                  [[_Worst(knots)]] + [[_Worst(knots[:1])] for _ in range(rings)], arrays=arrays)
+    rings = [[_Worst(knots[:1])] for _ in range(RING_COUNT)]
+    return _Probe("uniformly-monotone", True, [[_Worst(knots)]] + rings, arrays=arrays)
 
 
 def _modulus(probe: _Probe, radii, knots, cfg) -> ModulusEstimate:
@@ -1156,9 +1158,9 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
         return x, 2.0 * g.x - x, y, 2.0 * h.x - y
 
     radii, draw = _draw(cfg, knots)
-    m1 = _modulus_probe(knots, len(radii), lambda x, y, g, h: (*g, *h))
-    m2 = _modulus_probe(knots, len(radii), inverse)
-    c3 = _cld_probe(eps, len(radii), reflected)  # every draw has RING_COUNT rings
+    m1 = _modulus_probe(knots, lambda x, y, g, h: (*g, *h))
+    m2 = _modulus_probe(knots, inverse)
+    c3 = _cld_probe(eps, reflected)  # every draw has RING_COUNT rings
     if eps == knots:
         _measure([m1, m2, c3], draw, graph)
     else:

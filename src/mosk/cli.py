@@ -4,7 +4,7 @@ Commands: ``gallery`` (list registry entries), ``certify`` (class
 certification with JSON output), ``split`` (PR/DR/FB runs with CSV traces),
 ``witness`` (witness-sequence dumps), ``selfdual`` (the verdict triptych).
 ``certify --class`` runs a row of the class table ``mosk.certify.CLASSES``
-on the target it names, built from the gallery entry.
+on the target ``mosk.gallery.target`` resolves for the gallery entry.
 
 Exit codes: 0 success, 1 usage error, 2 a class was refuted (certify) or a
 run did not converge under ``--expect-converge`` (split), 3 numerical
@@ -27,7 +27,7 @@ from . import certify as cert
 from . import gallery, split
 # minty_sample is not used here; it stays importable as cli.minty_sample
 # because tools that trace the library patch it on this module by name
-from .core import minty_sample, resolvent_map, reflected_map  # noqa: F401
+from .core import minty_sample  # noqa: F401
 from .exceptions import (
     DimensionMismatch,
     DomainError,
@@ -140,30 +140,6 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
-def _target(kind: str, name: str, dim: Optional[int]):
-    """What a certifier runs on, by the kinds the entry lists.  ``map``: the
-    entry's map, else its operator's reflected resolvent; ``resolvent``: the
-    operator's resolvent, else the map; ``operator``: the operator;
-    ``graph``: the operator, or the witness family (a ``WitnessFamily`` of
-    graph-point pairs) of an entry that has no operator."""
-    kinds = gallery.entry(name).kinds
-    if kind == "graph" and "operator" not in kinds and "witnesses" in kinds:
-        return gallery.witnesses(name)
-    if kind in ("operator", "graph"):
-        return gallery.operator(name, dim)
-    if kind == "resolvent" and "operator" in kinds:
-        return resolvent_map(gallery.operator(name, dim))
-    if "map" in kinds:
-        return gallery.mapping(name, dim)
-    return reflected_map(gallery.operator(name, dim))
-
-
-def _own_families(name: str) -> list:
-    """The entry's own witness family, probed beside the scaled families."""
-    kinds = gallery.entry(name).kinds
-    return [gallery.witnesses(name)] if "map" in kinds and "witnesses" in kinds else []
-
-
 def _config(args) -> dict:
     """The resolved configuration an output file embeds: every option but
     ``--out`` and ``--expect-converge``.  It must encode as JSON, so probes
@@ -183,11 +159,11 @@ def _config(args) -> dict:
 
 def cmd_certify(args) -> int:
     spec = cert.CLASSES[args.klass]
-    target = _target(spec.target, args.op, args.dim)
+    target = gallery.target(args.op, spec.target, args.dim)
     cfg, config = _sampler(args, gallery.dimension(args.op, args.dim)), _config(args)
     certificate = spec.run(target, cfg, alpha=args.alpha, t=args.t or cert.PROBES,
                            eps=args.eps or args.t or cert.PROBES,
-                           families=_own_families(args.op))
+                           families=gallery.families(args.op))
     payload = {
         "schema": 1,
         "command": "certify",

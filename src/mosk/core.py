@@ -219,9 +219,11 @@ def solve_increasing(
     up to ``BRACKET_CAP``.  A step is Newton's on ``dfun`` when given and
     strictly inside the bracket, else bisection.  An element stops once
     ``|fun(t) - target| <= rtol * |target|`` (``tol`` when ``rtol`` is 0) or
-    no float is left inside its bracket.  Raises ``NumericalFailure`` unless
-    every final residual is at most ``tol``, which may be an array
-    broadcasting against ``target`` (one tolerance per element).
+    no float is left inside its bracket.  An element is accepted only when
+    it stopped within ``MAX_STEPS`` steps and its residual is at most
+    ``tol``, which may be an array broadcasting against ``target`` (one
+    tolerance per element); otherwise ``NumericalFailure`` is raised, also
+    for an element still running whose residual is within ``tol``.
     """
     scalar = np.ndim(target) == 0
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
@@ -248,7 +250,8 @@ def solve_increasing(
 
     t = 0.5 * (lo + hi)
     f = fun(t) - tgt
-    for _ in range(MAX_STEPS):
+    # the last pass only judges the last step's evaluation
+    for step in range(MAX_STEPS + 1):
         lo = np.where(f < 0, t, lo)
         hi = np.where(f > 0, t, hi)
         nxt = 0.5 * (lo + hi)
@@ -258,6 +261,11 @@ def solve_increasing(
         done = ~(np.abs(f) > stop) | (nxt == lo) | (nxt == hi)
         if done.all():
             break
+        if step == MAX_STEPS:
+            raise NumericalFailure(
+                f"root finder did not stop within {MAX_STEPS} steps "
+                f"({int(np.count_nonzero(~done))} elements still running)"
+            )
         if dfun is not None:
             # a zero derivative gives an infinite or NaN step: bisect there
             with np.errstate(divide="ignore", invalid="ignore"):

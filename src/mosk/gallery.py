@@ -34,6 +34,8 @@ from .core import (
     NonexpansiveMap,
     WitnessFamily,
     from_neg_reflected,
+    reflected_map,
+    resolvent_map,
     solve_increasing,
 )
 from .exceptions import DomainError, SequenceOverflow, UnsupportedOperator
@@ -878,3 +880,24 @@ def function(name: str) -> FunctionEntry:
 
 def witnesses(name: str) -> WitnessFamily:
     return _maker(name, "witnesses", "witnesses")()
+
+
+def target(name: str, kind: str, dim: Optional[int] = None):
+    """What a ``certify.CLASSES`` row of target ``kind`` runs on for entry
+    ``name``: for ``map`` its map, else ``R_A``; for ``resolvent`` ``J_A``,
+    else its map; for ``operator`` ``A``; for ``graph`` ``A``, else its witnesses."""
+    kinds = entry(name).kinds
+    if kind == "graph" and "operator" not in kinds and "witnesses" in kinds:
+        return witnesses(name)
+    if kind in ("operator", "graph"):
+        return operator(name, dim)
+    if kind == "resolvent" and "operator" in kinds:
+        return resolvent_map(operator(name, dim))
+    if kind not in ("map", "resolvent"):
+        raise DomainError(f"unknown target kind {kind!r}")
+    return mapping(name, dim) if "map" in kinds else reflected_map(operator(name, dim))
+
+
+def families(name: str) -> list:
+    """The entry's own witness families, probed by the SNE and SSNE rows."""
+    return [witnesses(name)] if {"map", "witnesses"} <= set(entry(name).kinds) else []

@@ -806,8 +806,9 @@ def test_radial_shells_on_a_1e200_box_are_finite(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_ring_pair_batches_match_the_resize_reference(d):
     for floor, samples in ((0.5, 2048), (3.0, 1000), (1e3, 7)):
-        got = certify._ring_pair_batches(np.random.default_rng(d), d, floor, 1.0, 15, samples)
-        ref = _ring_pair_batches_reference(np.random.default_rng(d), d, floor, 1.0, 15, samples)
+        got = certify._ring_pair_batches(np.random.default_rng(d), d, floor, samples)
+        ref = _ring_pair_batches_reference(np.random.default_rng(d), d, floor, certify.RING_BASE,
+                                           certify.RING_COUNT, samples)
         assert len(got) == len(ref)
         for (r, x, y), (rr, xr, yr) in zip(got, ref):
             assert r == rr
@@ -987,7 +988,6 @@ def test_certifier_peak_is_one_block_plus_its_rings(case, n):
     else:
         cfg, A = SamplerConfig.symmetric(1, n, 1, 50.0), gallery.operator("cubic")
         rings = certify._ring_pair_batches(np.random.default_rng(cfg.seed + 1), 1, 0.5,
-                                           certify.RING_BASE, certify.RING_COUNT,
                                            certify.RING_SAMPLES)
         ring_bytes = sum(x.nbytes + y.nbytes for _, x, y in rings)
         del rings

@@ -223,6 +223,27 @@ def test_no_module_imports_csv():
                 assert (node.module or "").split(".")[0] != "csv", path.name
 
 
+def test_tests_read_no_private_cli_name():
+    # the CLI keeps no rule that the library lacks: no test reads a private
+    # (underscored, not dunder) name of mosk.cli, under whatever alias
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        aliases, read = {"mosk.cli"}, []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "mosk":
+                aliases |= {a.asname or a.name for a in node.names if a.name == "cli"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "mosk.cli":
+                read += [a.name for a in node.names if private(a.name)]
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names if a.name == "mosk.cli" and a.asname}
+        read += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and private(node.attr) and ast.unparse(node.value) in aliases]
+        assert read == [], path.name
+
+
 def test_unwritable_output_path_is_usage_error(tmp_path):
     missing = tmp_path / "missing"
     runs = [
@@ -492,16 +513,24 @@ def test_certify_matrix_witnesses_replay(klass, tmp_path, capsys):
         assert code in (0, 1, 2) and "Traceback" not in capsys.readouterr().err, op
         if code == 1:  # the entry has no target of the row's kind
             continue
-        target = cli._target(spec.target, op, None)
+        target = gallery.target(op, spec.target)
         cfg = cert.SamplerConfig.symmetric(3, 1000, gallery.dimension(op, None), 50.0)
         c = spec.run(target, cfg, alpha=0.5, t=cert.PROBES, eps=cert.PROBES,
-                     families=cli._own_families(op))
+                     families=gallery.families(op))
         payload = _strict_json(out.read_text())["certificate"]
         assert payload == json.loads(json.dumps(c.to_json_dict())), op
         assert code == (2 if c.verdict == cert.REFUTED else 0), op
         if c.verdict == cert.REFUTED:
             assert c.witness is not None and payload["witness"] == c.witness, op
             assert cert.replay(c, target) == c.witness_value, op
+            # and so does the certificate read back from the file
+            loaded = cert.ClassCertificate(
+                class_name=payload["class"], params=payload["params"],
+                estimates=payload["estimates"], verdict=payload["verdict"],
+                witness=payload["witness"], witness_value=None, seed=payload["seed"],
+                sample_count=payload["samples"], notes=payload["notes"],
+            )
+            assert cert.replay(loaded, target) == c.witness_value, op
 
 
 def test_certify_coercive_and_growth(tmp_path):

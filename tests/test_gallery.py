@@ -551,6 +551,51 @@ def test_cubic_conjugate_large_arguments(xstar):
     assert abs(got - want) <= 1e-14 * want
 
 
+def _quartic_mixed_conjugate(s):
+    # f*(s) = s y - f(y) at f'(y) = s, piece by piece: y = s/8 on s <= -8
+    # (f = 4y^2 - 2); y = -(|s|/8)^(1/3) on (-8, 0) (f = 2y^4, so
+    # f* = 8(|s|/8)^(4/3) - 2(|s|/8)^(4/3)); y = (s/1.5)^2 on [0, 1.5)
+    # (f = y^1.5, so f* = s^3/2.25 - s^3/3.375); y = s/1.5 beyond
+    # (f = 3y^2/4 + 1/4)
+    if s <= -8.0:
+        return s * s / 16.0 + 2.0
+    if s < 0.0:
+        return 6.0 * (-s / 8.0) ** (4.0 / 3.0)
+    if s < 1.5:
+        return 4.0 * s * s * s / 27.0
+    return s * s / 3.0 - 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["cubic", "quartic-mixed"]),
+    u=st.floats(-300.0, 15.0),
+    negative=st.booleans(),
+)
+def test_conjugate_is_right_or_fails_closed(name, u, negative):
+    # a root below what MAX_STEPS steps reach (cubic |x*| <= 1e-126,
+    # quartic-mixed near 0 from either side) must raise, not come back
+    # unconverged, as quartic-mixed's -4.26e-109 at x* = 1e-40 did
+    xstar = (-1.0 if negative else 1.0) * 10.0**u
+    want = (0.75 * abs(xstar) ** (4.0 / 3.0) if name == "cubic"
+            else _quartic_mixed_conjugate(xstar))
+    try:
+        got = gallery.fenchel_conjugate_1d(gallery.function(name), xstar)
+    except NumericalFailure:
+        return
+    assert got >= 0.0 and abs(got - want) <= 1e-12 * want
+
+
+def test_root_finder_raises_on_an_element_still_running():
+    # 1e-40 is within the absolute tol after MAX_STEPS halvings of [0, 1],
+    # but its relative stop is never met and its bracket never collapses
+    entry = gallery.function("quartic-mixed")
+    with pytest.raises(NumericalFailure, match="did not stop"):
+        gallery.fenchel_conjugate_1d(entry, [1.0, 1e-40])
+    with pytest.raises(NumericalFailure, match="did not stop"):
+        core.solve_increasing(entry.eval_fprime, 1e-40, tol=1e-12, rtol=1e-12)
+
+
 @pytest.mark.parametrize("name,breaks", [("cubic", ()), ("quartic-mixed", (-1.0, 0.0, 1.0))])
 def test_fsecond_is_the_derivative_of_fprime(name, breaks):
     entry = gallery.function(name)
@@ -682,6 +727,65 @@ def test_each_listed_kind_builds_and_no_other(name):
         else:
             with pytest.raises(UnsupportedOperator, match="exposes no"):
                 access(name)
+
+
+# What each target kind of a certify.CLASSES row runs on, per entry: the
+# object's type and name, or the UnsupportedOperator an entry without an
+# operator raises.  "map" classes run on the entry's map, else on R_A; firm
+# nonexpansiveness on J_A, else on the map; "graph" classes on the
+# operator, else on the witness pairs.
+TARGET_KINDS = ("map", "resolvent", "operator", "graph")
+_MAP, _OP = core.NonexpansiveMap, core.MonotoneOperator
+_NO_OP = (UnsupportedOperator, "exposes no operator")
+TARGETS = {
+    "cubic": ((_MAP, "R[cubic]"), (_MAP, "J[cubic]"), (_OP, "cubic"), (_OP, "cubic")),
+    "normal-cone-zero": ((_MAP, "R[normal-cone-zero]"), (_MAP, "J[normal-cone-zero]"),
+                         (_OP, "normal-cone-zero"), (_OP, "normal-cone-zero")),
+    "zero": ((_MAP, "R[zero]"), (_MAP, "J[zero]"), (_OP, "zero"), (_OP, "zero")),
+    "identity": ((_MAP, "R[identity]"), (_MAP, "J[identity]"), (_OP, "identity"),
+                 (_OP, "identity")),
+    "rotator": ((_MAP, "rotator"), (_MAP, "J[rotator]"), (_OP, "rotator"), (_OP, "rotator")),
+    "staircase": ((_MAP, "staircase"), (_MAP, "J[staircase-op]"), (_OP, "staircase-op"),
+                  (_OP, "staircase-op")),
+    "clamp-sin-map": ((_MAP, "clamp-sin-map"), (_MAP, "clamp-sin-map"), _NO_OP, _NO_OP),
+    "clamp-sin-op": ((_MAP, "R[clamp-sin-op]"), (_MAP, "J[clamp-sin-op]"),
+                     (_OP, "clamp-sin-op"), (_OP, "clamp-sin-op")),
+    "quartic-mixed": ((_MAP, "R[quartic-mixed]"), (_MAP, "J[quartic-mixed]"),
+                      (_OP, "quartic-mixed"), (_OP, "quartic-mixed")),
+    "cone-subdiff": (_NO_OP, _NO_OP, _NO_OP, (WitnessFamily, "cone-subdiff-growth")),
+    "shift": ((_MAP, "shift[256]"), (_MAP, "J[shift-op[256]]"), (_OP, "shift-op[256]"),
+              (_OP, "shift-op[256]")),
+}
+
+
+def test_target_kinds_are_the_class_table_kinds():
+    assert set(TARGETS) == set(gallery.names())
+    kinds = {spec.target for spec in certify.CLASSES.values() if spec.run is not None}
+    assert kinds == set(TARGET_KINDS)
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_target_and_families_of_each_entry(name):
+    for kind, (want_type, want) in zip(TARGET_KINDS, TARGETS[name]):
+        if want_type is UnsupportedOperator:
+            with pytest.raises(UnsupportedOperator) as exc:
+                gallery.target(name, kind)
+            assert str(exc.value) == f"gallery entry {name!r} {want}", kind
+        else:
+            got = gallery.target(name, kind)
+            assert type(got) is want_type and got.name == want, kind
+    assert [f.name for f in gallery.families(name)] == (
+        ["staircase-ssne"] if name == "staircase" else [])
+    for kind in ("function", "witnesses", "Map", ""):
+        with pytest.raises(DomainError, match="unknown target kind"):
+            gallery.target(name, kind)
+
+
+def test_target_passes_the_dimension():
+    assert gallery.target("shift", "map", 8).dim == 8
+    assert gallery.target("zero", "resolvent", 3).dim == 3
+    with pytest.raises(DomainError):
+        gallery.target("cubic", "operator", 3)
 
 
 
