@@ -271,13 +271,11 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_samples):
 
 
 def _draw(cfg: SamplerConfig, knots, ring_samples=RING_SAMPLES):
-    """The pairs of a profile probe: the ring radii, and the batches of
-    blocks ``(x, y)``, first the sampled batch with shells at ``knots``,
-    then the scale rings."""
+    """The pairs of a profile probe: the batches of blocks ``(x, y)``, first
+    the sampled batch with shells at ``knots``, then the scale rings."""
     rng = np.random.default_rng(cfg.seed + 1)
     rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_samples)
-    batches = [_pair_stream(cfg, knots)] + [_blocks(x, y) for _, x, y in rings]
-    return [r for r, _, _ in rings], batches
+    return [_pair_stream(cfg, knots)] + [_blocks(x, y) for _, x, y in rings]
 
 
 def _knots(values, label: str) -> list:
@@ -666,13 +664,13 @@ def _certify(name: str, target, cfg: SamplerConfig, params: dict, probe: float):
                   {**params, "sampler": cfg.describe()}, probe)
 
 
-def _ring_probe(probe: _Probe, radii, decaying=float):
-    """The scale probe: per ring ``(radius, worst pair at distance >= floor)``
-    and, when ``decaying(value)`` falls geometrically across the rings with
-    at least ``MIN_RING_PAIRS`` pairs (never up by more than 30 %, the last
-    at most ``DECAY_THRESHOLD`` times the first), the last such ring's worst
-    pair."""
-    ends = [(r, folds[-1].found[0]) for r, folds in zip(radii, probe.folds[1:])]
+def _ring_probe(probe: _Probe, decaying=float):
+    """The scale probe: per ring ``(RING_BASE * 2^k, worst pair at distance
+    >= floor)`` and, when ``decaying(value)`` falls geometrically across the
+    rings with at least ``MIN_RING_PAIRS`` pairs (never up by more than 30 %,
+    the last at most ``DECAY_THRESHOLD`` times the first), the last such
+    ring's worst pair."""
+    ends = [(RING_BASE * 2.0**k, folds[-1].found[0]) for k, folds in enumerate(probe.folds[1:])]
     valid = [e for _, e in ends if e.count >= MIN_RING_PAIRS]
     seq = [decaying(e.value) for e in valid]
     decays = (
@@ -725,10 +723,9 @@ def certify_cld(T: NonexpansiveMap, eps_list: Sequence[float],
     ``DECAY_THRESHOLD`` (ratio tending to one at infinity).
     """
     eps = _knots(eps_list, "eps_list")
-    radii, draw = _draw(cfg, eps)
     probe = _cld_probe(eps)
-    _measure([probe], draw, _lift(T))
-    return _cld(probe, radii, eps, cfg)
+    _measure([probe], _draw(cfg, eps), _lift(T))
+    return _cld(probe, eps, cfg)
 
 
 def _cld_probe(eps, arrays=None) -> _Probe:
@@ -740,12 +737,12 @@ def _cld_probe(eps, arrays=None) -> _Probe:
     return _Probe("contraction-large-distances", False, [[shells]] + rings, arrays=arrays)
 
 
-def _cld(probe: _Probe, radii, eps, cfg) -> ClassCertificate:
+def _cld(probe: _Probe, eps, cfg) -> ClassCertificate:
     name = probe.name
     betas = probe.folds[0][0].found
     # the shells are nested, so the first holds every pair of the others
     absolute = betas[0].value is not None and CLASSES[name].refutes(betas[0].value, {})
-    ends, decay = _ring_probe(probe, radii, lambda v: 1.0 - v)
+    ends, decay = _ring_probe(probe, lambda v: 1.0 - v)
     return _certificate(
         name,
         {
@@ -831,10 +828,9 @@ def estimate_modulus(A: MonotoneOperator, t_list: Sequence[float], cfg: SamplerC
     knots = _knots(t_list, "t_list")
     if ring_samples < 0:
         raise DomainError("ring_samples must be >= 0")
-    radii, draw = _draw(cfg, knots, ring_samples)
     probe = _modulus_probe(knots)
-    _measure([probe], draw, _lift(A))
-    return _modulus(probe, radii, knots, cfg)
+    _measure([probe], _draw(cfg, knots, ring_samples), _lift(A))
+    return _modulus(probe, knots, cfg)
 
 
 def _modulus_probe(knots, arrays=None) -> _Probe:
@@ -845,12 +841,12 @@ def _modulus_probe(knots, arrays=None) -> _Probe:
     return _Probe("uniformly-monotone", True, [[_Worst(knots)]] + rings, arrays=arrays)
 
 
-def _modulus(probe: _Probe, radii, knots, cfg) -> ModulusEstimate:
+def _modulus(probe: _Probe, knots, cfg) -> ModulusEstimate:
     name = probe.name
     bins = probe.folds[0][0].found
     hit = next((e for e in bins if e.value is not None and CLASSES[name].refutes(e.value, {})),
                None)
-    ends, decay = _ring_probe(probe, radii)
+    ends, decay = _ring_probe(probe)
     by_decay = hit is None and decay is not None
     return _certificate(
         name,
@@ -1140,10 +1136,10 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
     against the self-duality equivalence.
 
     ``J_A`` runs once per drawn point: ``A^{-1}``'s graph and ``R_A`` follow
-    from it as ``Id - J_A`` and ``2 J_A - Id``.  The three probes share one
-    draw, measured in one pass over its blocks, when ``eps_list`` and
-    ``t_list`` hold the same values; otherwise the CLD probe draws its own
-    pairs at the ``eps`` shells.
+    from it as ``Id - J_A`` and ``2 J_A - Id``.  The probes are grouped by
+    the knots their draw is laid out on, and each distinct draw is measured
+    in one pass over its blocks: one for all three when ``eps_list`` and
+    ``t_list`` hold the same values.
     """
     knots, eps = _knots(t_list, "t_list"), _knots(eps_list, "eps_list")
 
@@ -1155,20 +1151,18 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
         return g.xstar, x - g.xstar, h.xstar, y - h.xstar
 
     def reflected(x, y, g, h):
-        return x, 2.0 * g.x - x, y, 2.0 * h.x - y
+        return x, g.x + g.x - x, y, h.x + h.x - y
 
-    radii, draw = _draw(cfg, knots)
     m1 = _modulus_probe(knots, lambda x, y, g, h: (*g, *h))
     m2 = _modulus_probe(knots, inverse)
     c3 = _cld_probe(eps, reflected)  # every draw has RING_COUNT rings
-    if eps == knots:
-        _measure([m1, m2, c3], draw, graph)
-    else:
-        _measure([m1, m2], draw, graph)
-        del draw
-        _measure([c3], _draw(cfg, eps)[1], graph)
-    m1, m2 = (_modulus(m, radii, knots, cfg) for m in (m1, m2))
-    c3 = _cld(c3, radii, eps, cfg)
+    groups = {}
+    for at, probe in ((knots, m1), (knots, m2), (eps, c3)):
+        groups.setdefault(tuple(at), []).append(probe)
+    for at, probes in groups.items():
+        _measure(probes, _draw(cfg, at), graph)
+    m1, m2 = (_modulus(m, knots, cfg) for m in (m1, m2))
+    c3 = _cld(c3, eps, cfg)
     verdicts = (m1.verdict, m2.verdict, c3.verdict)
     agrees = (verdicts[:2] == (CONSISTENT, CONSISTENT)) == (c3.verdict == CONSISTENT)
     return SelfDualReport(

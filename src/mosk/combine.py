@@ -1,6 +1,10 @@
 """Composition calculus for nonexpansive mappings and the splitting-operator
 builders (Peaceman-Rachford, Douglas-Rachford, forward-backward).
 
+The splitting operators are built by :func:`compose` and
+:func:`convex_combination` from ``core.reflected_map`` and
+``core.resolvent_map``: ``R_B R_A``, ``(Id + R_B R_A)/2``, ``J_{gB}(Id - gA)``.
+
 Class metadata does not propagate automatically through composition:
 :func:`predicted_sign` is a separate declarative calculator for the sign
 carried by a composition of maps that are (super) strongly nonexpansive up
@@ -14,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MonotoneOperator, NonexpansiveMap, resolvent, scale
+from .core import MonotoneOperator, NonexpansiveMap, _check_dim, reflected_map, resolvent_map, scale
 from .exceptions import DimensionMismatch, DomainError, StepSizeOutOfRange, UnsupportedOperator
 
 
@@ -29,9 +33,11 @@ def compose(maps: Sequence[NonexpansiveMap]) -> NonexpansiveMap:
         if T.dim != dim:
             raise DimensionMismatch("all maps must share one dimension")
 
+    evals = [T.eval for T in maps]
+
     def ev(x):
-        for T in maps:
-            x = T.eval(x)
+        for f in evals:
+            x = f(x)
         return x
 
     name = "*".join(T.name for T in reversed(maps))
@@ -73,27 +79,15 @@ def pr_operator(A: MonotoneOperator, B: MonotoneOperator) -> NonexpansiveMap:
     """The Peaceman-Rachford operator ``x -> R_B(R_A(x))``."""
     if A.dim != B.dim:
         raise DimensionMismatch("operators live in different dimensions")
-    ja, jb = A.resolvent, B.resolvent
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        # doubling by addition is exact, as 2.0 * j is, and cheaper
-        j = ja(x)
-        ra = j + j - x
-        k = jb(ra)
-        return k + k - ra
-
-    return NonexpansiveMap(A.dim, ev, name=f"PR[{A.name},{B.name}]")
+    pr = compose([reflected_map(A), reflected_map(B)])
+    return NonexpansiveMap(A.dim, pr.eval, name=f"PR[{A.name},{B.name}]")
 
 
 def dr_operator(A: MonotoneOperator, B: MonotoneOperator) -> NonexpansiveMap:
     """The Douglas-Rachford operator ``x -> (x + R_B(R_A(x))) / 2``."""
-    pr = pr_operator(A, B)
-    return NonexpansiveMap(
-        A.dim,
-        lambda x: 0.5 * (np.asarray(x, dtype=float) + pr.eval(x)),
-        name=f"DR[{A.name},{B.name}]",
-    )
+    ident = NonexpansiveMap(A.dim, lambda x: np.asarray(x, dtype=float), name="Id")
+    dr = convex_combination(ident, pr_operator(A, B), 0.5)
+    return NonexpansiveMap(A.dim, dr.eval, name=f"DR[{A.name},{B.name}]")
 
 
 def fb_operator(A: MonotoneOperator, B: MonotoneOperator, gamma: float) -> NonexpansiveMap:
@@ -113,11 +107,11 @@ def fb_operator(A: MonotoneOperator, B: MonotoneOperator, gamma: float) -> Nonex
         raise StepSizeOutOfRange(
             f"gamma = {gamma} outside (0, {2.0 * beta}) for beta = {beta}"
         )
-    gb = scale(B, gamma)
-    a = A.direct_eval
+    a, dim = A.direct_eval, A.dim
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return resolvent(gb, x - gamma * a(x))
+    def forward(x):
+        x = _check_dim(dim, x)
+        return x - gamma * a(x)
 
-    return NonexpansiveMap(A.dim, ev, name=f"FB[{A.name},{B.name};{gamma}]")
+    fb = compose([NonexpansiveMap(dim, forward), resolvent_map(scale(B, gamma))])
+    return NonexpansiveMap(dim, fb.eval, name=f"FB[{A.name},{B.name};{gamma}]")

@@ -129,8 +129,7 @@ def resolvent(A: MonotoneOperator, x) -> np.ndarray:
 
 def reflected_resolvent(A: MonotoneOperator, x) -> np.ndarray:
     """Evaluate ``R_A(x) = 2 J_A(x) - x``."""
-    x = _check_dim(A.dim, x)
-    return 2.0 * A.resolvent(x) - x
+    return reflected_map(A).eval(_check_dim(A.dim, x))
 
 
 def resolvent_map(A: MonotoneOperator) -> NonexpansiveMap:
@@ -139,10 +138,16 @@ def resolvent_map(A: MonotoneOperator) -> NonexpansiveMap:
 
 
 def reflected_map(A: MonotoneOperator) -> NonexpansiveMap:
-    """The reflected resolvent as a nonexpansive mapping."""
-    return NonexpansiveMap(
-        A.dim, lambda x: 2.0 * A.resolvent(x) - x, name=f"R[{A.name}]"
-    )
+    """The reflected resolvent ``R_A = 2 J_A - Id`` as a nonexpansive mapping,
+    the one ``R_A`` the splitting operators are composed from.  It doubles
+    ``J_A(x)`` by addition, which is exact, as ``2.0 * j`` is, and cheaper."""
+    res = A.resolvent
+
+    def ev(x):
+        j = res(x)
+        return j + j - x
+
+    return NonexpansiveMap(A.dim, ev, name=f"R[{A.name}]")
 
 
 _INVERT_SWAP = {"strongly-monotone": "cocoercive", "cocoercive": "strongly-monotone"}
@@ -222,8 +227,9 @@ def solve_increasing(
     no float is left inside its bracket.  An element is accepted only when
     it stopped within ``MAX_STEPS`` steps and its residual is at most
     ``tol``, which may be an array broadcasting against ``target`` (one
-    tolerance per element); otherwise ``NumericalFailure`` is raised, also
-    for an element still running whose residual is within ``tol``.
+    tolerance per element), or at most ``4 * spacing(|target|)`` once its
+    bracket collapsed; otherwise ``NumericalFailure`` is raised, also for an
+    element still running whose residual is within ``tol``.
     """
     scalar = np.ndim(target) == 0
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
@@ -256,9 +262,10 @@ def solve_increasing(
         hi = np.where(f > 0, t, hi)
         nxt = 0.5 * (lo + hi)
         # done: the residual is small (or NaN, which the final check rejects),
-        # or the rounded midpoint is an end point, which happens exactly when
-        # no float is left strictly inside the bracket
-        done = ~(np.abs(f) > stop) | (nxt == lo) | (nxt == hi)
+        # or the bracket collapsed: the rounded midpoint is an end point,
+        # which happens exactly when no float is left strictly inside it
+        collapsed = (nxt == lo) | (nxt == hi)
+        done = ~(np.abs(f) > stop) | collapsed
         if done.all():
             break
         if step == MAX_STEPS:
@@ -273,7 +280,11 @@ def solve_increasing(
             nxt = np.where((newton > lo) & (newton < hi), newton, nxt)
         t = np.where(done, t, nxt)
         f = fun(t) - tgt
-    if not np.all(np.abs(f) <= tol):
+    err = np.abs(f)
+    # a collapsed bracket also passes at the rounding floor of fun(t) - target,
+    # 4 ulps of the target, which a tol below one ulp of it cannot reach
+    if not (np.all(err <= tol)
+            or np.all((err <= tol) | (collapsed & (err <= 4.0 * np.spacing(np.abs(tgt)))))):
         raise NumericalFailure(
             f"root finder stalled above residual tolerance {float(np.max(tol))}"
         )
@@ -283,9 +294,9 @@ def solve_increasing(
 def solve_scalar_monotone(a: Callable[[np.ndarray], np.ndarray], x):
     """Solve ``y + a(y) = x`` for a continuous nondecreasing scalar ``a``.
 
-    Returns ``y`` with ``|y + a(y) - x| <= TOL_RESOLVENT_ROOT``; the root
-    finder behind resolvents of one-dimensional operators that lack a
-    closed form.
+    Returns ``y`` with ``|y + a(y) - x| <= TOL_RESOLVENT_ROOT``, or within
+    ``4 * spacing(|x|)`` when that is larger; the root finder behind
+    resolvents of one-dimensional operators that lack a closed form.
     """
     return solve_increasing(lambda t: t + a(t), x, tol=TOL_RESOLVENT_ROOT, center=x)
 

@@ -117,6 +117,15 @@ def test_split_fb_requires_gamma():
     assert code == 1
 
 
+def test_split_fb_root_found_resolvent_at_a_large_x0_converges(capsys):
+    # J of 0.7 * clamp-sin-op is root-found; at 5.5e8 one ulp of x0 exceeds
+    # the root finder's absolute tolerance, so it accepts at rounding level
+    code = main(["split", "--algo", "fb", "--opA", "identity", "--opB", "clamp-sin-op",
+                 "--gamma", "0.7", "--x0=551371380.490387", "--max-iter", "60"])
+    assert code == 0
+    assert "termination=converged" in capsys.readouterr().out
+
+
 def test_split_fb_bad_gamma_is_usage_error():
     code = main(
         [
@@ -614,3 +623,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cubic" in proc.stdout
+
+
+def _golden_tool():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
+
+
+def test_golden_runs_parse():
+    # every run of tools/golden.py is a valid mosk command line, and its class
+    # matrix spans every gallery entry and every class the CLI certifies
+    golden = _golden_tool()
+    parser = cli.build_parser()
+    for name, argv in golden.RUNS.items():
+        assert parser.parse_args(argv).func is not None, name
+    assert golden.ENTRIES == gallery.names()
+    assert list(golden.CLASSES) == [k for k, spec in cert.CLASSES.items() if spec.run is not None]
+    assert len(golden.DEMOS) == 5

@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mosk import certify, core, gallery
+from mosk import certify, combine, core, gallery
 from mosk.combine import (
     compose,
     convex_combination,
@@ -12,7 +15,13 @@ from mosk.combine import (
     predicted_sign,
 )
 from mosk.core import NonexpansiveMap
-from mosk.exceptions import DimensionMismatch, DomainError, StepSizeOutOfRange, UnsupportedOperator
+from mosk.exceptions import (
+    DimensionMismatch,
+    DomainError,
+    MoskError,
+    StepSizeOutOfRange,
+    UnsupportedOperator,
+)
 
 IDENT = NonexpansiveMap(1, lambda x: np.asarray(x, float), "id")
 NEG = NonexpansiveMap(1, lambda x: -np.asarray(x, float), "neg")
@@ -169,3 +178,132 @@ def test_sign_rule_empirical_battery():
     T = compose([RA, RB])
     rep = certify.check_sequential(T, fam, "ssne", 45)
     assert rep.verdict == certify.CONSISTENT
+
+
+# The hand-written evaluators the splitting operators had before they were
+# composed from core.reflected_map and core.resolvent_map: references that
+# the compositions must match bit for bit.
+def _ref_pr(A, B):
+    ja, jb = A.resolvent, B.resolvent
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        j = ja(x)
+        ra = j + j - x
+        k = jb(ra)
+        return k + k - ra
+
+    return ev
+
+
+def _ref_dr(A, B):
+    pr = _ref_pr(A, B)
+    return lambda x: 0.5 * (np.asarray(x, dtype=float) + pr(x))
+
+
+def _ref_fb(A, B, gamma):
+    gb, a = core.scale(B, gamma), A.direct_eval
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return core.resolvent(gb, x - gamma * a(x))
+
+    return ev
+
+
+TINY = np.finfo(float).tiny
+EXTREMES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310, -2.5e-320,
+            TINY, -TINY]
+SPLIT_PAIRS = [(a, b) for a in ("cubic", "normal-cone-zero", "zero", "identity",
+                                "clamp-sin-op", "quartic-mixed")
+               for b in ("cubic", "zero", "identity", "clamp-sin-op", "quartic-mixed")]
+
+
+def _outcome(f, x):
+    """The bits of ``f(x)``, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(f(x), dtype=float)
+    except MoskError as exc:
+        return type(exc), str(exc)
+
+
+def _points(dim, seed):
+    rng = np.random.default_rng(seed)
+    rows = [np.full(dim, v) for v in EXTREMES] + list(rng.normal(size=(8, dim)) * 10.0)
+    return rows + [rng.normal(size=(64, dim)) * 100.0]
+
+
+def _assert_same(got, want, subnormal_ok=False):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.shape == want.shape
+    moved = got.view(np.uint64) != want.view(np.uint64)
+    if subnormal_ok:
+        # fl(0.5 x + 0.5 y) and fl(0.5 (x + y)) round apart only below tiny
+        moved &= ~((np.abs(got) < TINY) & (np.abs(want) < TINY))
+    assert not moved.any(), (got[moved], want[moved])
+
+
+@pytest.mark.parametrize("a,b", SPLIT_PAIRS)
+def test_pr_dr_equal_the_hand_written_references(a, b):
+    A, B = gallery.operator(a), gallery.operator(b)
+    for x in _points(1, 5):
+        _assert_same(_outcome(pr_operator(A, B), x), _outcome(_ref_pr(A, B), x))
+        _assert_same(_outcome(dr_operator(A, B), x), _outcome(_ref_dr(A, B), x),
+                     subnormal_ok=True)
+
+
+@pytest.mark.parametrize("a,b,dim", [("normal-cone-zero", "shift", 8), ("rotator", "zero", 2),
+                                     ("identity", "rotator", 2), ("zero", "normal-cone-zero", 3)])
+def test_pr_dr_equal_the_references_in_higher_dimensions(a, b, dim):
+    A, B = gallery.operator(a, dim), gallery.operator(b, dim)
+    for x in _points(dim, 6):
+        _assert_same(_outcome(pr_operator(A, B), x), _outcome(_ref_pr(A, B), x))
+        _assert_same(_outcome(dr_operator(A, B), x), _outcome(_ref_dr(A, B), x),
+                     subnormal_ok=True)
+
+
+@pytest.mark.parametrize("b", ["cubic", "zero", "identity", "normal-cone-zero", "clamp-sin-op",
+                               "quartic-mixed"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+def test_fb_equals_the_hand_written_reference(b, gamma):
+    A, B = gallery.operator("identity"), gallery.operator(b)
+    for x in _points(1, 7):
+        _assert_same(_outcome(fb_operator(A, B, gamma), x), _outcome(_ref_fb(A, B, gamma), x))
+
+
+def test_dr_moves_bits_only_below_tiny_and_beyond_overflow():
+    # (1 - lam) T1 + lam T2 halves before it adds: it rounds apart from
+    # 0.5 * (x + PR x) on subnormals, and stays finite where x + PR x overflows
+    N0, Z = gallery.operator("normal-cone-zero"), gallery.operator("zero")
+    x = np.array([5e-324, 1e308, -1.5e308])
+    assert dr_operator(Z, Z)(x[:1])[0] == 0.0 and _ref_dr(Z, Z)(x[:1])[0] == 5e-324
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_ref_dr(N0, N0)(x[1:]), [np.inf, -np.inf])
+    assert np.array_equal(dr_operator(N0, N0)(x[1:]), x[1:])
+
+
+def test_fb_checks_the_dimension_of_its_point():
+    A, B = gallery.operator("identity", 2), gallery.operator("zero", 2)
+    T = fb_operator(A, B, 0.5)
+    for fb in (T, _ref_fb(A, B, 0.5)):
+        with pytest.raises(DimensionMismatch):
+            fb(np.ones(3))
+    assert T(np.ones(2)).shape == (2,)
+
+
+def test_splitting_operators_keep_their_names():
+    A, B = gallery.operator("cubic"), gallery.operator("zero")
+    assert pr_operator(A, B).name == "PR[cubic,zero]"
+    assert dr_operator(A, B).name == "DR[cubic,zero]"
+    assert fb_operator(gallery.operator("identity"), B, 0.5).name == "FB[identity,zero;0.5]"
+
+
+def test_combine_reads_no_resolvent_attribute():
+    # the splitting operators reach resolvents only through core's maps
+    tree = ast.parse(Path(combine.__file__).read_text(encoding="utf-8"))
+    read = [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "resolvent"]
+    assert read == []

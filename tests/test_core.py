@@ -186,6 +186,21 @@ def test_solve_scalar_monotone_residual_property(x, c1, c3):
     assert abs(y + a(y) - x) <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.floats(-3.0, 15.0),
+    negative=st.booleans(),
+    gamma=st.floats(0.0, 3.0, exclude_min=True),
+)
+def test_root_found_scaled_resolvent_returns_at_every_magnitude(exponent, negative, gamma):
+    # clamp-sin-op has no scaled closed form: core.scale root-finds it, and
+    # from |x| ~ 1e5 up one ulp of x exceeds TOL_RESOLVENT_ROOT
+    A = gallery.operator("clamp-sin-op")
+    x = -(10.0**exponent) if negative else 10.0**exponent
+    y = core.resolvent(core.scale(A, gamma), x)
+    assert abs(y + gamma * A.direct_eval(y) - x) <= max(1e-10, 4.0 * np.spacing(abs(x)))
+
+
 def test_scale_examples():
     N0 = gallery.operator("normal-cone-zero", 1)
     assert core.resolvent(core.scale(N0, 7.0), 3.0) == 0.0
