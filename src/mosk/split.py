@@ -7,6 +7,10 @@ paper-level stopping questions are resolved by a :class:`StoppingRule` with
 explicit defaults; a period-two oscillation (the failure mode of
 Peaceman-Rachford without uniform monotonicity of the second operator) is
 detected and flagged on the trace.
+
+The splitting operator must be a function of its input's bits: an iterate
+that repeats an earlier one bit for bit ends its evaluations, and the rest of
+the trace is filled from the cycle.
 """
 
 from __future__ import annotations
@@ -202,6 +206,12 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
     every ``core`` oracle is; its result is recorded alongside.  The
     artifact never claims to know the fixed-point set a priori: distances to
     a candidate point are :func:`fejer_check`'s audit.
+
+    ``T`` must be a function of its input's bits, as every ``core``,
+    ``gallery`` and ``combine`` map is: once an iterate repeats an earlier one
+    bit for bit (Brent's cycle finding, one saved iterate), ``T`` is not
+    evaluated again and the rest of the trace, up to ``stop.max_iter``, is
+    copied from the cycle.
     """
     ev = T.eval
     x = as_point(x0, dim=T.dim)
@@ -212,7 +222,11 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
     xs = [x]
     residuals = []
     termination = TERM_MAX_ITER
-    for _ in range(stop.max_iter):
+    # Brent's cycle finding: the checkpoint x_c is compared by bits with every
+    # later iterate, and moves to x_n once n - c reaches power, which doubles
+    c, power, seen = 0, 1, x.tobytes()
+    cycled = False
+    for n in range(1, stop.max_iter + 1):
         # math.sqrt(v.dot(v)) is what np.linalg.norm computes on a 1-D float
         # vector, without its per-call overhead
         if not math.sqrt(x.dot(x)) <= stop.divergence_guard:  # NaN iterates diverge too
@@ -227,8 +241,21 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
         if r <= stop.tol_residual:
             termination = TERM_CONVERGED
             break
+        bits = x.tobytes()
+        if bits == seen:
+            cycled = True
+            break
+        if n - c == power:
+            c, power, seen = n, 2 * power, bits
     iterates = np.stack(xs)
     residuals = np.array(residuals)
+    if cycled:
+        # x_n = x_c, so x_j = x_{c + (j - c) mod (n - c)} for every j >= c; the
+        # cycle's residuals all exceeded tol_residual and its iterates all
+        # passed the guard, so the run ends on its budget
+        idx = np.arange(stop.max_iter + 1)
+        idx[n:] = c + (idx[n:] - c) % (n - c)
+        iterates, residuals = iterates[idx], residuals[idx[:-1]]
     shadows = None
     if shadow is not None:
         shadows = np.asarray(shadow(iterates), dtype=float)

@@ -3,13 +3,15 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosk import certify, core, gallery, split
-from mosk.combine import pr_operator
+from mosk.combine import dr_operator, pr_operator
 from mosk.core import NonexpansiveMap
 from mosk.exceptions import DomainError, NumericalFailure, StepSizeOutOfRange, UnsupportedOperator
 
@@ -479,3 +481,160 @@ def test_divergence_guard_is_the_euclidean_norm():
     assert tr.termination == split.TERM_MAX_ITER and tr.n_steps == 3
     tr = split.iterate(HALF, [3.0, 4.0], split.StoppingRule(max_iter=3, divergence_guard=4.999))
     assert tr.termination == split.TERM_DIVERGED and tr.n_steps == 0
+
+
+def _iterate_reference(T, x0, stop=split.StoppingRule(), *, shadow=None, probe_coords=None):
+    """``split.iterate``'s step loop without cycle reuse: ``T`` is evaluated
+    at every step."""
+    x = core.as_point(x0, dim=T.dim)
+    xs, residuals = [x], []
+    termination = split.TERM_MAX_ITER
+    for _ in range(stop.max_iter):
+        if not math.sqrt(x.dot(x)) <= stop.divergence_guard:
+            termination = split.TERM_DIVERGED
+            break
+        x1 = np.asarray(T.eval(x), dtype=float)
+        dx = x1 - x
+        r = math.sqrt(dx.dot(dx))
+        xs.append(x1)
+        residuals.append(r)
+        x = x1
+        if r <= stop.tol_residual:
+            termination = split.TERM_CONVERGED
+            break
+    iterates = np.stack(xs)
+    residuals = np.array(residuals)
+    return split.IterationTrace(
+        iterates=iterates,
+        residuals=residuals,
+        termination=termination,
+        shadows=None if shadow is None else np.asarray(shadow(iterates), dtype=float),
+        probe_coords=tuple(probe_coords or ()),
+        period2=termination != split.TERM_CONVERGED
+        and split._detect_period2(iterates, residuals, stop.tol_residual),
+    )
+
+
+def _assert_same_trace(got, want):
+    assert _same_bits(got.iterates, want.iterates)
+    assert _same_bits(got.residuals, want.residuals)
+    assert got.termination == want.termination and got.period2 == want.period2
+    assert got.probe_coords == want.probe_coords
+    assert (got.shadows is None) == (want.shadows is None)
+    if want.shadows is not None:
+        assert _same_bits(got.shadows, want.shadows)
+
+
+def _counting(T):
+    """``T`` with an ``eval`` that appends to the returned list per call."""
+    calls = []
+
+    def ev(x):
+        calls.append(1)
+        return T.eval(x)
+
+    counted = dataclasses.replace(T, eval=ev)
+    return counted, calls
+
+
+def _pr(a, b, dim):
+    A, B = gallery.operator(a, dim), gallery.operator(b, dim)
+    return pr_operator(A, B), A.resolvent
+
+
+def _sign_of_zero_map():
+    # k flips, and a flips on the steps where k > 0: from (0.0, 1) the orbit
+    # has period 2 in value but period 4 in bits, and x_3 = x_1 in value only
+    def ev(x):
+        a, k = np.asarray(x, dtype=float)
+        return np.array([-a if k > 0 else a, -k])
+
+    return NonexpansiveMap(2, ev, "sign-of-zero")
+
+
+_NEG_CLIP = NonexpansiveMap(1, lambda x: -np.clip(np.asarray(x, float), -1.0, 1.0), "neg-clip")
+_ROLL3 = NonexpansiveMap(3, lambda x: np.roll(np.asarray(x, float), 1), "roll")
+
+
+def _cycle_cases():
+    """(id, T, x0, shadow, stop keywords, budgets): one ``max_iter`` per budget."""
+    short = (1, 2, 3, 4, 5, 6, 7, 8, 50, 1001)
+    cases = []
+    T, sh = _pr("normal-cone-zero", "zero", 1)
+    for x0 in (1.0, -0.0, 0.0, 3.7, 1e300, 5e-324):
+        for guard in (1e12, np.inf):
+            for tol in (1e-10, 0.0):
+                budgets = short + (100_000,) if guard == np.inf and tol else short
+                cases.append((f"nc-zero-{x0!r}-{guard}-{tol}", T, [x0], sh,
+                              dict(divergence_guard=guard, tol_residual=tol), budgets))
+    T, sh = _pr("rotator", "zero", 2)
+    for tol in (1e-10, 0.0):
+        cases.append((f"rotator-zero-{tol}", T, [0.3, -1.7], sh, dict(tol_residual=tol), short))
+    for name, T, x0 in (("roll3", _ROLL3, [1.0, -2.0, 0.5]), ("neg-clip", _NEG_CLIP, [5.0]),
+                        ("sign-of-zero", _sign_of_zero_map(), [0.0, 1.0])):
+        for tol in (1e-10, 0.0):
+            cases.append((f"{name}-{tol}", T, x0, None, dict(tol_residual=tol), short))
+    # x0 beyond the guard diverges before any step
+    cases.append(("neg-clip-beyond-guard", _NEG_CLIP, [5.0], None,
+                  dict(divergence_guard=4.0), short))
+    return cases
+
+
+@pytest.mark.parametrize("case", _cycle_cases(), ids=lambda c: c[0])
+def test_iterate_reuses_cycles_bit_for_bit(case):
+    _, T, x0, shadow, keywords, budgets = case
+    for max_iter in budgets:
+        stop = split.StoppingRule(max_iter=max_iter, **keywords)
+        with np.errstate(over="ignore"):  # |1e300|^2 overflows inside the norms
+            got = split.iterate(T, x0, stop, shadow=shadow, probe_coords=range(T.dim))
+            want = _iterate_reference(T, x0, stop, shadow=shadow, probe_coords=range(T.dim))
+        _assert_same_trace(got, want)
+
+
+def test_iterate_sign_of_zero_cycle():
+    # Brent's checkpoint x_1 meets x_3 equal in value, but the cycle is the
+    # one of bits: x_4 = x_0
+    T, calls = _counting(_sign_of_zero_map())
+    tr = split.iterate(T, [0.0, 1.0], split.StoppingRule(max_iter=10))
+    assert tr.iterates[3].tolist() == tr.iterates[1].tolist()
+    assert not _same_bits(tr.iterates[3], tr.iterates[1])
+    assert _same_bits(tr.iterates[4:], np.concatenate([tr.iterates[:4], tr.iterates[:3]]))
+    assert tr.termination == split.TERM_MAX_ITER and len(calls) < 10
+
+
+def test_iterate_stops_evaluating_on_a_cycle():
+    T, calls = _counting(_pr("normal-cone-zero", "zero", 1)[0])
+    tr = split.iterate(T, [1.0], split.StoppingRule(max_iter=100_000))
+    assert tr.n_steps == 100_000 and tr.termination == split.TERM_MAX_ITER and tr.period2
+    assert len(calls) <= 8
+    T, calls = _counting(_pr("rotator", "zero", 2)[0])
+    tr = split.iterate(T, [0.3, -1.7], split.StoppingRule(max_iter=100_000))
+    assert tr.n_steps == 100_000 and len(calls) <= 8
+
+
+def test_iterate_evaluates_every_step_without_a_cycle():
+    runs = [
+        (dr_operator(gallery.operator("cubic"), gallery.operator("identity", 1)), [10.0]),
+        (_pr("normal-cone-zero", "shift", 64)[0], np.eye(64)[0]),
+    ]
+    for T, x0 in runs:
+        counted, calls = _counting(T)
+        tr = split.iterate(counted, x0)
+        assert tr.n_steps > 1 and len(calls) == tr.n_steps
+        _assert_same_trace(tr, _iterate_reference(T, x0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 4),
+    max_iter=st.integers(1, 300),
+    tol=st.sampled_from([0.0, 1e-10, 1.5]),
+)
+def test_iterate_matches_reference_on_signed_permutations(data, dim, max_iter, tol):
+    perm = np.array(data.draw(st.permutations(range(dim))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim)))
+    x0 = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    T = NonexpansiveMap(dim, lambda x: signs * np.asarray(x, float)[perm], "signed-permutation")
+    stop = split.StoppingRule(max_iter=max_iter, tol_residual=tol)
+    _assert_same_trace(split.iterate(T, x0, stop), _iterate_reference(T, x0, stop))

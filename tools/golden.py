@@ -80,6 +80,11 @@ SPLIT = {
                                           "--tol", "0", "--max-iter", "3000"),
     "split-fb-clamp-large-x0": _split("fb", "identity", "clamp-sin-op", "--gamma", "0.7",
                                       "--x0=551371380.490387", "--max-iter", "60"),
+    # exact cycles: period 2 from the start, and period 4 after a transient
+    "split-pr-cone-zero-cycle": _split("pr", "normal-cone-zero", "zero", "--x0", "1",
+                                       "--max-iter", "100000"),
+    "split-pr-rotator-zero-cycle": _split("pr", "rotator", "zero", "--dim", "2",
+                                          "--x0=0.3,-1.7", "--max-iter", "1001"),
 }
 for _b in ("cubic", "quartic-mixed", "clamp-sin-op"):
     for _g in ("0.5", "1.5"):
