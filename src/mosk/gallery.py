@@ -260,12 +260,14 @@ def cubic_resolvent(x):
     # above 1e150 cbrt(x) is exact in float64 (the correction is about
     # x^(-1/3)/3), and below it u^2 cannot overflow
     big = ax > 1e150
-    u = 9.0 * np.where(big, 0.0, ax)
+    any_big = big.any()
+    u = 9.0 * (np.where(big, 0.0, ax) if any_big else ax)
     a = np.cbrt(12.0 * (u + np.sqrt(u * u + 12.0)))
     a2 = a * a
     t = a2 + 6.0
-    y = 4.0 * u * a2 / (t * t + 108.0)
-    return np.where(big, np.cbrt(x) if big.any() else 0.0, np.copysign(y, x))
+    y = np.copysign(4.0 * u * a2 / (t * t + 108.0), x)
+    # an ndarray on either branch, also for 0-d input, as np.where returns
+    return np.where(big, np.cbrt(x), y) if any_big else np.asarray(y)
 
 
 # ---------------------------------------------------------------------------

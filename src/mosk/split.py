@@ -73,7 +73,10 @@ class IterationTrace:
     ``iterates`` has shape ``(n_steps + 1, dim)``; ``residuals[n]`` is
     ``|x_{n+1} - x_n|`` (one entry per step taken).  ``shadows`` mirror the
     iterates when a shadow map was supplied.  ``weak_probes`` reads the
-    ``probe_coords`` columns of the iterates.
+    ``probe_coords`` columns of the iterates.  ``cycle = (c, p)`` records an
+    exact cycle that :func:`iterate` found: ``x_{c+p}`` is the first iterate
+    to repeat an earlier one bit for bit, namely ``x_c``.  It is None for
+    runs without a cycle and for traces built by hand.
     """
 
     iterates: np.ndarray
@@ -82,6 +85,7 @@ class IterationTrace:
     shadows: Optional[np.ndarray] = None
     probe_coords: Tuple[int, ...] = ()
     period2: bool = False
+    cycle: Optional[Tuple[int, int]] = None
 
     @property
     def n_steps(self) -> int:
@@ -119,17 +123,29 @@ class IterationTrace:
         if self.probe_coords:
             header += [f"probe_{k}" for k in self.probe_coords]
             columns.append(self.weak_probes)
-        _write_table(path, config, header, columns, stepped)
+        _write_table(path, config, header, columns, stepped, self.cycle)
 
 
-def _write_table(path, config: Optional[dict], header: Sequence[str], columns, stepped: int):
+def _write_table(path, config: Optional[dict], header: Sequence[str], columns, stepped: int,
+                 cycle: Optional[Tuple[int, int]] = None):
     """Write ``columns`` (1-D or 2-D arrays of equal length, laid side by
-    side) as CSV under ``header``: ``%d`` for the first field, 17 significant
-    digits for the others, ``\r\n`` line ends, and a leading ``#`` comment
-    line holding ``config`` as JSON unless it is None.  Rows from
-    ``stepped`` on print their ``residual`` field empty."""
-    n = len(columns[0])
-    fields = ["%d"] + ["%.17g"] * (len(header) - 1)
+    side) as CSV under ``header``: ``%d`` for the first field, which holds
+    whole numbers below ``2**53``, 17 significant digits for the others,
+    ``\r\n`` line ends, and a leading ``#`` comment line holding ``config``
+    as JSON unless it is None.  Rows from ``stepped`` on print their
+    ``residual`` field empty.
+
+    The file is written in blocks of about ``CSV_BLOCK_VALUES`` fields, and
+    no work is repeated that the bytes do not need.  A block whose fields
+    repeat (:func:`_repeated_block`) formats each distinct float once, and
+    only the ones the previous such block did not have.  With ``cycle = (c,
+    p)`` (see :class:`IterationTrace`) and a period of at most one block of
+    fields, rows ``c .. c+p-1`` are formatted once, and each later stepped
+    row whose float fields equal its period row's bit for bit is its row
+    number followed by that text.  The bytes depend on the columns alone,
+    not on ``cycle`` nor on the path a block takes."""
+    n, width = len(columns[0]), len(header)
+    fields = ["%d"] + ["%.17g"] * (width - 1)
     row = ",".join(fields) + "\r\n"
     blank = None
     if stepped < n:
@@ -138,26 +154,63 @@ def _write_table(path, config: Optional[dict], header: Sequence[str], columns, s
     unstepped_row = ",".join(fields) + "\r\n"
     # the float table and its Python floats exist one block of rows (about
     # CSV_BLOCK_VALUES fields) at a time, so writing adds little memory
-    block = max(1, CSV_BLOCK_VALUES // len(header))
+    block = max(1, CSV_BLOCK_VALUES // width)
+    copied, period = stepped, None
+    if cycle is not None:
+        c, p = cycle
+        if 0 <= c and 0 < p and p * width <= CSV_BLOCK_VALUES and c + p < stepped:
+            copied = c + p
+            floats = np.column_stack([col[c:copied] for col in columns])[:, 1:]
+            # each period row's float fields, with their leading commas and
+            # the line end; no formatted number holds a space
+            text = (",%.17g" * (width - 1) + "\r\n ") * p % tuple(floats.ravel().tolist())
+            period = (c, floats.view(np.int64), np.array(text.split(" ")[:-1], dtype=object))
+    segments = ((row, None, 0, copied, None), (row, None, copied, stepped, period),
+                (unstepped_row, blank, stepped, n, None))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if config is not None:
             fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\r\n")
-        for fmt, empty, lo, hi in ((row, None, 0, stepped), (unstepped_row, blank, stepped, n)):
+        carried = None
+        for fmt, empty, lo, hi, period in segments:
             for b in range(lo, hi, block):
-                table = np.column_stack([c[b:min(b + block, hi)] for c in columns])
-                text = _repeated_block(table, empty)
+                table = np.column_stack([col[b:min(b + block, hi)] for col in columns])
+                text = None
+                if period is not None:
+                    text = _copied_block(table, b, *period)
+                if text is None:
+                    text, carried = _repeated_block(table, empty, carried)
                 if text is None:
                     text = (fmt * len(table)) % tuple(table.ravel().tolist())
                 fh.write(text)
 
 
-def _repeated_block(table: np.ndarray, empty: Optional[int]) -> Optional[str]:
-    """The CSV rows of ``table`` with each distinct float formatted once, or
-    None when more than ``CSV_REPEAT_SHARE`` of its float fields (all but the
-    first column) hold distinct values.  Values are told apart by their bit
-    patterns, so ``-0.0`` keeps its sign; field ``empty`` prints empty unless
-    it is None."""
+def _copied_block(table: np.ndarray, first: int, c: int, bits: np.ndarray,
+                  tails: np.ndarray) -> Optional[str]:
+    """The CSV rows ``first ..`` of a table whose rows from ``c`` on cycle
+    through the period ``bits``: each row is written as its number and the
+    text ``tails`` of its period row, when the float fields of every row of
+    ``table`` equal that period row's bit for bit; None otherwise."""
+    k = (np.arange(first, first + len(table)) - c) % len(tails)
+    if not np.array_equal(table[:, 1:].view(np.int64), bits[k]):
+        return None
+    out = np.empty((len(table), 2), dtype=object)
+    # the row numbers are whole, and %d prints an int as it prints its float
+    out[:, 0] = table[:, 0].astype(np.int64)
+    out[:, 1] = tails[k]
+    return "%d%s" * len(table) % tuple(out.ravel().tolist())
+
+
+def _repeated_block(table: np.ndarray, empty: Optional[int], carried):
+    """``(text, carry)``.  ``text`` is the CSV rows of ``table`` with each
+    distinct float formatted once, or None when more than
+    ``CSV_REPEAT_SHARE`` of its float fields (all but the first column) hold
+    distinct values.  Values are told apart by their bit patterns, so
+    ``-0.0`` keeps its sign; field ``empty`` prints empty unless it is None.
+    ``carried`` is the previous repeated block's carry or None, and
+    ``carry`` this block's: its sorted distinct bit patterns and their
+    strings.  Values found in ``carried`` are not formatted again; a block
+    left to the plain path passes ``carried`` on."""
     bits = table[:, 1:].view(np.int64)
     srt = np.sort(bits, axis=None)
     new = np.empty(srt.size, dtype=bool)
@@ -165,19 +218,30 @@ def _repeated_block(table: np.ndarray, empty: Optional[int]) -> Optional[str]:
     np.not_equal(srt[1:], srt[:-1], out=new[1:])
     uniq = srt[new]
     if uniq.size > CSV_REPEAT_SHARE * srt.size:
-        return None
-    # every field but the first carries its leading comma, and a last column
-    # ends the row, so one join writes the block; no formatted number holds a
-    # space, so the ``split()``s cut the one-%-format strings apart
-    rows, width = table.shape
-    strs = (",%.17g " * uniq.size % tuple(uniq.view(float).tolist())).split()
-    out = np.empty((rows, width + 1), dtype=object)
-    out[:, 0] = ("%d " * rows % tuple(table[:, 0].tolist())).split()
-    out[:, 1:-1] = np.array(strs, dtype=object)[np.searchsorted(uniq, bits)]
+        return None, carried
+    strs = np.empty(uniq.size, dtype=object)
+    fresh = slice(None)
+    if carried is not None:
+        old, old_strs = carried
+        at = np.searchsorted(old, uniq)
+        np.minimum(at, old.size - 1, out=at)
+        have = old[at] == uniq
+        strs[have] = old_strs[at[have]]
+        fresh = ~have
+    # every float field carries its leading comma, the first of a row also
+    # the row's number and the last its line end, so one join writes the
+    # block; no formatted number holds a space, so the ``split()``s cut the
+    # one-%-format strings apart
+    todo = uniq[fresh]
+    strs[fresh] = (",%.17g " * todo.size % tuple(todo.view(float).tolist())).split()
+    rows = len(table)
+    out = strs[np.searchsorted(uniq, bits)]
     if empty is not None:
-        out[:, empty] = ","
-    out[:, -1] = "\r\n"
-    return "".join(out.ravel().tolist())
+        out[:, empty - 1] = ","
+    out[:, 0] = np.array(("%d " * rows % tuple(table[:, 0].tolist())).split(),
+                         dtype=object) + out[:, 0]
+    out[:, -1] += "\r\n"
+    return "".join(out.ravel().tolist()), (uniq, strs)
 
 
 def _detect_period2(iterates: np.ndarray, residuals: np.ndarray, tol_residual: float) -> bool:
@@ -211,7 +275,7 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
     ``gallery`` and ``combine`` map is: once an iterate repeats an earlier one
     bit for bit (Brent's cycle finding, one saved iterate), ``T`` is not
     evaluated again and the rest of the trace, up to ``stop.max_iter``, is
-    copied from the cycle.
+    copied from the cycle, which the trace records as ``cycle``.
     """
     ev = T.eval
     x = as_point(x0, dim=T.dim)
@@ -249,12 +313,19 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
             c, power, seen = n, 2 * power, bits
     iterates = np.stack(xs)
     residuals = np.array(residuals)
+    cycle = None
     if cycled:
-        # x_n = x_c, so x_j = x_{c + (j - c) mod (n - c)} for every j >= c; the
-        # cycle's residuals all exceeded tol_residual and its iterates all
-        # passed the guard, so the run ends on its budget
+        # x_n = x_c, and Brent's first match is at the least period p = n - c;
+        # the cycle starts at the first x_c with x_{c+p} = x_c, so x_j =
+        # x_{c + (j - c) mod p} for every j >= c.  The cycle's residuals all
+        # exceeded tol_residual and its iterates all passed the guard, so the
+        # run ends on its budget
+        p = n - c
+        b = iterates.view(np.int64)
+        c = int(np.argmax(np.all(b[p:] == b[:-p], axis=1)))
+        cycle = (c, p)
         idx = np.arange(stop.max_iter + 1)
-        idx[n:] = c + (idx[n:] - c) % (n - c)
+        idx[n:] = c + (idx[n:] - c) % p
         iterates, residuals = iterates[idx], residuals[idx[:-1]]
     shadows = None
     if shadow is not None:
@@ -269,6 +340,7 @@ def iterate(T: NonexpansiveMap, x0, stop: StoppingRule = StoppingRule(),
         shadows=shadows,
         probe_coords=probes,
         period2=period2,
+        cycle=cycle,
     )
 
 

@@ -229,7 +229,7 @@ def test_clamp_sin_matches_the_nested_where_reference():
 
 
 def _cubic_resolvent_reference(x):
-    # the form that took cbrt of the whole batch
+    # the form that took cbrt of the whole batch and both 1e150 passes always
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     big = ax > 1e150
@@ -250,6 +250,25 @@ def test_cubic_resolvent_matches_the_whole_batch_reference():
         got, ref = gallery.cubic_resolvent(x), _cubic_resolvent_reference(x)
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_cubic_resolvent_sweep_is_the_reference_bit_for_bit():
+    # cubic_resolvent skips the two 1e150 passes when nothing is that large;
+    # type, shape and bits stay those of the form that always takes them
+    tens = 10.0 ** np.arange(-300, 301)
+    edge = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e150, -1e150,
+            np.nextafter(1e150, 0.0), np.nextafter(-1e150, 0.0),
+            np.nextafter(1e150, np.inf), np.nextafter(-1e150, -np.inf)]
+    sweep = np.concatenate([tens, -tens, edge])
+    inputs = [sweep, sweep.reshape(-1, 1), sweep[:600], sweep[:600].reshape(20, 30),
+              np.array([]), [1.0, -2.0], 3.0, -0.0]
+    inputs += [np.float64(v) for v in sweep] + [np.array(v) for v in sweep]
+    inputs += [np.array([v]) for v in sweep]
+    for x in inputs:
+        got, ref = gallery.cubic_resolvent(x), _cubic_resolvent_reference(x)
+        assert type(got) is type(ref) is np.ndarray
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), x
 
 
 def test_solver_examples():

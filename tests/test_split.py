@@ -311,6 +311,18 @@ def _joined(first, second):
         probe_coords=first.probe_coords)
 
 
+def _prefix_then_period3():
+    # from 7.5 the orbit steps down by one to 2.5, five iterates that never
+    # come back, and then cycles 2.5 -> 0.5 -> 1.5 -> 2.5: cycle (5, 3)
+    return NonexpansiveMap(
+        1, lambda x: np.where(x > 3.0, x - 1.0, np.mod(x + 1.0, 3.0)), "prefix-period-3")
+
+
+def _period3_run(max_iter):
+    return split.iterate(_prefix_then_period3(), [7.5], split.StoppingRule(max_iter=max_iter),
+                         shadow=lambda X: 0.5 * X, probe_coords=[0])
+
+
 @functools.lru_cache(maxsize=None)
 def _csv_cases():
     C, Q = gallery.operator("cubic"), gallery.operator("quartic-mixed")
@@ -363,12 +375,25 @@ def _csv_cases():
             iterates=np.resize([1.5, -1.5], (1500, 1)), residuals=np.full(300, 3.0),
             termination=split.TERM_MAX_ITER, shadows=np.zeros((1500, 1))),
         "mixed-blocks": _joined(distinct, tail),
+        # exact cycles: rows from c + p on are written from the formatted
+        # period; the budgets end one and two rows into a period and on its
+        # end, and the last leaves two copied rows, fewer than a period
+        "cycle-3-after-prefix": _period3_run(3000),
+        "cycle-3-partway": _period3_run(3001),
+        "cycle-3-whole-periods": _period3_run(3002),
+        "cycle-3-short-tail": _period3_run(10),
+        "pr-cycle-100000": split.peaceman_rachford(
+            N1, Z1, [1.5], split.StoppingRule(max_iter=100_000)),
     }
 
 
 # cases with a row block on the writer's repeated-value path
 _REPEATED_CASES = {"past-one-block", "pr-shift-64-blocks", "pr-shift-e1-256",
                    "repeated-non-finite", "repeated-unstepped"}
+# cases whose trace records an exact cycle, and the rows copied from it
+_CYCLED_CASES = {"past-one-block": _block_rows(4) - 1, "cycle-3-after-prefix": 2992, "cycle-3-partway": 2993,
+                 "cycle-3-whole-periods": 2994, "cycle-3-short-tail": 2,
+                 "pr-cycle-100000": 99_998}
 
 
 @pytest.mark.parametrize("case", sorted(_csv_cases()))
@@ -388,14 +413,115 @@ def test_write_csv_matches_csv_writer_reference(tmp_path, case, config):
         assert not repeated[0]
     if case == "repeated-unstepped":
         assert repeated[-1]
+    assert (tr.cycle is not None) == (case in _CYCLED_CASES)
+    if tr.cycle is not None:
+        c, p = tr.cycle
+        assert tr.n_steps - (c + p) == _CYCLED_CASES[case]
     tr.write_csv(tmp_path / "got.csv", config=config)
     _reference_write_csv(tr, tmp_path / "want.csv", config=config)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def _first_repeat(iterates):
+    """``(m, n - m)`` for the first ``n`` whose iterate equals an earlier
+    ``x_m`` bit for bit, or None."""
+    seen = {}
+    for n, x in enumerate(iterates):
+        m = seen.setdefault(x.tobytes(), n)
+        if m != n:
+            return m, n - m
+    return None
+
+
+def test_trace_cycle_is_the_first_repeat():
+    traces = dict(_csv_cases())
+    for name, T, x0, shadow, keywords, budgets in _cycle_cases():
+        for max_iter in budgets:
+            with np.errstate(over="ignore"):
+                traces[f"{name}-{max_iter}"] = split.iterate(
+                    T, x0, split.StoppingRule(max_iter=max_iter, **keywords), shadow=shadow)
+    hand_built = {"non-finite", "repeated-non-finite", "repeated-unstepped", "mixed-blocks"}
+    seen = set()
+    for name, tr in traces.items():
+        if name in hand_built or tr.termination != split.TERM_MAX_ITER:
+            assert tr.cycle is None, name
+            continue
+        first = _first_repeat(tr.iterates)
+        # a short budget can end before the cycle is found
+        assert tr.cycle in ((None, first) if tr.n_steps < 50 else (first,)), name
+        seen.add(tr.cycle)
+    assert {(5, 3), (0, 2), (1, 2), (0, 4), (0, 3)} <= seen
+    assert traces["rotator-zero-1e-10-1001"].cycle[1] == 4
+    assert all(traces[name].termination == split.TERM_CONVERGED for name in
+               ("dr-shadows-probes", "fb-no-shadows", "pr-shift-e1-256"))
+    assert traces["one-row"].termination == split.TERM_DIVERGED
+
+
+def test_write_csv_bytes_do_not_depend_on_cycle(tmp_path):
+    # the copied rows are checked against their period row: a missing, wrong
+    # or out-of-range cycle changes no byte, nor does an edited copied row
+    for name in ("cycle-3-after-prefix", "cycle-3-short-tail", "pr-cycle-100000",
+                 "pr-shift-probes", "repeated-unstepped"):
+        tr = _csv_cases()[name]
+        tr.write_csv(tmp_path / "want.csv")
+        want = (tmp_path / "want.csv").read_bytes()
+        n = len(tr.iterates)
+        for cycle in (None, (0, 2), (1, 3), (4, 2), (0, 0), (-1, 2), (n - 3, 2), (n, 1),
+                      (0, n), (2, 9000)):
+            dataclasses.replace(tr, cycle=cycle).write_csv(tmp_path / "got.csv")
+            assert (tmp_path / "got.csv").read_bytes() == want, (name, cycle)
+    tr = _csv_cases()["cycle-3-after-prefix"]
+    edited = dataclasses.replace(tr, iterates=tr.iterates.copy(), shadows=tr.shadows.copy())
+    edited.iterates[2000, 0] = 1.25
+    edited.shadows[2500, 0] = -0.0
+    edited.write_csv(tmp_path / "got.csv")
+    _reference_write_csv(edited, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_formats_a_cycle_once(tmp_path, monkeypatch):
+    # with the cycle, only the rows before its first copy and the last row
+    # reach the other paths; without it, every block does
+    calls = []
+
+    def counted(table, empty, carried):
+        calls.append(len(table))
+        return repeated_block(table, empty, carried)
+
+    repeated_block = split._repeated_block
+    monkeypatch.setattr(split, "_repeated_block", counted)
+    tr = _csv_cases()["pr-cycle-100000"]
+    assert tr.cycle == (0, 2)
+    tr.write_csv(tmp_path / "a.csv")
+    assert calls == [2, 1]
+    calls.clear()
+    dataclasses.replace(tr, cycle=None).write_csv(tmp_path / "b.csv")
+    assert len(calls) == -(-100_000 // _block_rows(4)) + 1
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_repeated_block_formats_only_values_it_does_not_carry():
+    first = np.array([[0.0, 1.5, -0.0, 2.5], [1.0, 1.5, -0.0, 2.5]])
+    second = np.array([[2.0, 2.5, 0.0, 2.5], [3.0, 1.5, 0.0, 7.0], [4.0, 2.5, 0.0, 1.5]])
+    text, carry = split._repeated_block(first, None, None)
+    assert text == "0,1.5,-0,2.5\r\n1,1.5,-0,2.5\r\n"
+    assert carry[0].tolist() == sorted(np.array([1.5, -0.0, 2.5]).view(np.int64).tolist())
+    assert carry[1].tolist() == [",%.17g" % v for v in carry[0].view(float)]
+    # strings found in the carry are taken from it as they are
+    marked = (carry[0], np.array([s + "#" for s in carry[1]], dtype=object))
+    text, carry = split._repeated_block(second, 2, marked)
+    assert text == "2,2.5#,,2.5#\r\n3,1.5#,,7\r\n4,2.5#,,1.5#\r\n"
+    assert carry[0].view(float).tolist() == [0.0, 1.5, 2.5, 7.0]
+    assert carry[1].tolist() == [",0", ",1.5#", ",2.5#", ",7"]
+    # a block that takes the plain path passes the carry on
+    distinct = np.array([[4.0, 0.1, 0.2, 0.3]])
+    assert split._repeated_block(distinct, None, carry) == (None, carry)
+
+
 def test_write_csv_memory_is_block_bounded(tmp_path):
-    # a 258 x 522 trace (the split-trace shift run) whose fields repeat, and
-    # one of distinct values: writing either holds one block, not the file
+    # a 258 x 522 trace (the split-trace shift run) whose fields repeat, one
+    # of distinct values and a 100 001-row cycle: writing any of them holds
+    # one block, not the file
     n = 256
     x0 = np.random.default_rng(11).uniform(-1.0, 1.0, n)
     repeated = split.peaceman_rachford(
@@ -406,17 +532,21 @@ def test_write_csv_memory_is_block_bounded(tmp_path):
         iterates=rng.standard_normal((n + 2, n)), residuals=rng.random(n + 1),
         termination=split.TERM_MAX_ITER, shadows=rng.standard_normal((n + 2, n)),
         probe_coords=tuple(range(8)))
-    for tr, path in ((repeated, "repeated"), (distinct, "distinct")):
-        shares = _block_shares(tr)
-        assert (max(shares) <= split.CSV_REPEAT_SHARE) == (path == "repeated")
+    assert repeated.iterates.shape == distinct.iterates.shape == (258, 256)
+    shares = [max(_block_shares(tr)) for tr in (repeated, distinct)]
+    assert shares[0] <= split.CSV_REPEAT_SHARE < shares[1]
+    cycled = _csv_cases()["pr-cycle-100000"]
+    assert cycled.cycle is not None
+    # write_csv lays out an iteration and a residual column of the trace's
+    # length (8 bytes a row each); what writing adds beyond them is one block
+    for tr, path in ((repeated, "repeated"), (distinct, "distinct"), (cycled, "cycled")):
         tracemalloc.start()
         try:
             tr.write_csv(tmp_path / f"{path}.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr.iterates.shape == (258, 256)
-        assert peak < 2 ** 20, (path, peak)
+        assert peak < 2 ** 20 + (16 * len(tr.iterates) if path == "cycled" else 0), (path, peak)
 
 
 def _same_bits(a, b):

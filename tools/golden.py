@@ -115,6 +115,20 @@ def _record(where: Path, cmd, env) -> None:
     (where / "exit").write_text(f"{proc.returncode}\n")
 
 
+def _env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("MOSK_SEED", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def record(out: Path, runs: dict) -> None:
+    """Run ``mosk`` with each argv of ``runs`` (name -> argv) in a fresh
+    process, in the new directory ``out/<name>``."""
+    env = _env()
+    for name, args in runs.items():
+        _record(Path(out) / name, [sys.executable, "-m", "mosk", *args], env)
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -123,10 +137,8 @@ def main(argv) -> int:
     if out.exists():
         print(f"{out} exists; give a new directory", file=sys.stderr)
         return 1
-    env = {k: v for k, v in os.environ.items() if k not in ("MOSK_SEED", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    for name, args in RUNS.items():
-        _record(out / name, [sys.executable, "-m", "mosk", *args], env)
+    env = _env()
+    record(out, RUNS)
     for demo in DEMOS:
         _record(out / f"demo-{demo[:-3]}",
                 [sys.executable, "-W", "error", "-c", _RUN_COPY, str(ROOT / "demos" / demo)], env)
