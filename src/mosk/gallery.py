@@ -119,6 +119,35 @@ def _t_minus_sin_series(t):
 _H_SERIES_CUTOFF = 0.004
 
 
+def _piecewise(x: np.ndarray, *pieces) -> np.ndarray:
+    """``x`` evaluated piece by piece: ``out[mask] = fn(x[mask])`` for each
+    ``(mask, fn)`` of ``pieces``, whose masks partition the elements of
+    ``x``.  A piece sees only its own elements, so no piece's work is thrown
+    away, and a piece without elements is not evaluated.  The result is an
+    ndarray of ``x``'s shape, 0-d for 0-d ``x``."""
+    if x.ndim == 0:
+        # a 0-d x takes its one piece on the numpy scalar, as it always has:
+        # a scalar's ``**`` is pow, which can round apart from the array loop
+        fn = next(fn for mask, fn in pieces if mask)
+        return np.asarray(fn(x[()]), dtype=float)
+    out = np.empty(x.shape)
+    for mask, fn in pieces:
+        if np.count_nonzero(mask):  # cheaper than mask.any() on a few elements
+            out[mask] = fn(x[mask])
+    return out
+
+
+def _h_series(s):
+    # series seed plus three Newton steps on the series form of t - sin t
+    w = np.cbrt(6.0 * s)
+    t = w + w * w * w / 60.0
+    for _ in range(3):
+        f = _t_minus_sin_series(t) - s
+        d = 2.0 * np.sin(0.5 * t) ** 2
+        t = np.where(d > 0, t - f / np.where(d > 0, d, 1.0), t)
+    return t
+
+
 def h_value(s):
     """Evaluate ``h`` (inverse of ``t -> t - sin t``) to full relative accuracy.
 
@@ -128,15 +157,7 @@ def h_value(s):
     """
     s = np.asarray(s, dtype=float)
     small = np.abs(s) <= _H_SERIES_CUTOFF
-    ss = np.where(small, s, 0.0)
-    w = np.cbrt(6.0 * ss)
-    t = w + w * w * w / 60.0
-    for _ in range(3):
-        f = _t_minus_sin_series(t) - ss
-        d = 2.0 * np.sin(0.5 * t) ** 2
-        t = np.where(d > 0, t - f / np.where(d > 0, d, 1.0), t)
-    big = h_solver.solve(np.where(small, 0.0, s))
-    return np.where(small, t, big)
+    return _piecewise(s, (small, _h_series), (~small, h_solver.solve))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +175,15 @@ def clamp_sin(x):
     return np.sin(np.clip(np.asarray(x, dtype=float), -HALF_PI, HALF_PI))
 
 
+def _branch_pieces(x: np.ndarray, brk: float, below, mid, above) -> np.ndarray:
+    """A clamped-sine branch formula: ``below`` on ``x <= -brk``, ``mid``
+    between, ``above`` on ``x >= brk``, each on its own elements.  A NaN lies
+    in no piece; it is given to ``mid`` as 0."""
+    lo, hi = x <= -brk, x >= brk
+    return _piecewise(x, (lo, below), (hi, above),
+                      (~(lo | hi), lambda v: mid(np.where(np.abs(v) < brk, v, 0.0))))
+
+
 def clamp_sin_operator_eval(x):
     """Branch formula (via ``g``) for the operator whose reflected resolvent
     is the clamped sine.
@@ -162,13 +192,8 @@ def clamp_sin_operator_eval(x):
     where ``g`` inverts ``t -> t + sin t``.  This is the inverse of the
     registry operator ``clamp-sin-op``.
     """
-    x = np.asarray(x, dtype=float)
-    mid = np.abs(x) < BREAK_OUTER
-    xm = np.where(mid, x, 0.0)
-    mid_vals = g_solver.solve(2.0 * xm) - xm
-    return np.where(
-        x <= -BREAK_OUTER, x + 1.0, np.where(x >= BREAK_OUTER, x - 1.0, mid_vals)
-    )
+    return _branch_pieces(np.asarray(x, dtype=float), BREAK_OUTER, lambda v: v + 1.0,
+                          lambda v: g_solver.solve(2.0 * v) - v, lambda v: v - 1.0)
 
 
 def clamp_sin_operator_inverse_eval(x):
@@ -178,13 +203,8 @@ def clamp_sin_operator_inverse_eval(x):
     ``x - 1`` below ``-(pi-2)/4``, ``h(2x) - x`` in between, ``x + 1`` above,
     where ``h`` inverts ``t -> t - sin t``.
     """
-    x = np.asarray(x, dtype=float)
-    mid = np.abs(x) < BREAK_INNER
-    xm = np.where(mid, x, 0.0)
-    mid_vals = h_value(2.0 * xm) - xm
-    return np.where(
-        x <= -BREAK_INNER, x - 1.0, np.where(x >= BREAK_INNER, x + 1.0, mid_vals)
-    )
+    return _branch_pieces(np.asarray(x, dtype=float), BREAK_INNER, lambda v: v - 1.0,
+                          lambda v: h_value(2.0 * v) - v, lambda v: v + 1.0)
 
 
 def clamp_sin_resolvent(x):
@@ -196,8 +216,8 @@ def clamp_sin_resolvent(x):
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) <= _H_SERIES_CUTOFF
-    series = 0.5 * _t_minus_sin_series(np.where(small, x, 0.0))
-    return np.where(small, series, 0.5 * (x - clamp_sin(x)))
+    return _piecewise(x, (small, lambda v: 0.5 * _t_minus_sin_series(v)),
+                      (~small, lambda v: 0.5 * (v - clamp_sin(v))))
 
 
 def clamp_sin_f(x):
@@ -207,35 +227,26 @@ def clamp_sin_f(x):
     exact convex conjugate (Fenchel-Young holds with equality along the
     graph of the derivative).
     """
-    x = np.asarray(x, dtype=float)
-    mid = np.abs(x) < BREAK_OUTER
-    xm = np.where(mid, x, 0.0)
-    g = g_solver.solve(2.0 * xm)
-    mid_vals = 0.5 * (
-        2.0 * xm * g - 0.5 * g * g + np.cos(g) - xm * xm - 0.5 * (np.pi - 1.0)
-    )
-    return np.where(
-        x <= -BREAK_OUTER,
-        0.5 * (x + 1.0) ** 2,
-        np.where(x >= BREAK_OUTER, 0.5 * (x - 1.0) ** 2, mid_vals),
-    )
+
+    def mid(v):
+        g = g_solver.solve(2.0 * v)
+        return 0.5 * (2.0 * v * g - 0.5 * g * g + np.cos(g) - v * v - 0.5 * (np.pi - 1.0))
+
+    return _branch_pieces(np.asarray(x, dtype=float), BREAK_OUTER,
+                          lambda v: 0.5 * (v + 1.0) ** 2, mid, lambda v: 0.5 * (v - 1.0) ** 2)
 
 
 def clamp_sin_fstar(x):
     """Convex conjugate of :func:`clamp_sin_f`; its derivative is
     :func:`clamp_sin_operator_inverse_eval`."""
-    x = np.asarray(x, dtype=float)
-    mid = np.abs(x) < BREAK_INNER
-    xm = np.where(mid, x, 0.0)
-    h = h_value(2.0 * xm)
-    mid_vals = 0.5 * (
-        2.0 * xm * h - 0.5 * h * h - np.cos(h) - xm * xm + 0.5 * (np.pi - 1.0)
-    )
-    return np.where(
-        x <= -BREAK_INNER,
-        0.5 * (x * x - 2.0 * x),
-        np.where(x >= BREAK_INNER, 0.5 * (x * x + 2.0 * x), mid_vals),
-    )
+
+    def mid(v):
+        h = h_value(2.0 * v)
+        return 0.5 * (2.0 * v * h - 0.5 * h * h - np.cos(h) - v * v + 0.5 * (np.pi - 1.0))
+
+    return _branch_pieces(np.asarray(x, dtype=float), BREAK_INNER,
+                          lambda v: 0.5 * (v * v - 2.0 * v), mid,
+                          lambda v: 0.5 * (v * v + 2.0 * v))
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +286,43 @@ def cubic_resolvent(x):
 # ---------------------------------------------------------------------------
 
 
+def _quartic_pieces(x: np.ndarray, lo: float, hi: float, *fns) -> np.ndarray:
+    """The four ``fns`` of a quartic-mixed formula on ``(-inf, lo]``, ``(lo,
+    0)``, ``[0, hi)`` and the rest (``[hi, inf)`` and NaN), each evaluated
+    on its own elements only, so no piece can overflow."""
+    neg, below = x < 0.0, x < hi
+    first = x <= lo
+    return _piecewise(x, *zip((first, neg & ~first, below & ~neg, ~below), fns))
+
+
 def quartic_mixed_f(x):
     """Piecewise convex function: ``4x^2-2``, ``2x^4``, ``x^{3/2}``,
     ``3x^2/4 + 1/4`` on ``(-inf,-1], (-1,0), [0,1), [1,inf)``."""
-    x = np.asarray(x, dtype=float)
-    # the inner pieces see their own intervals only, so neither can overflow
-    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
-    return np.select(
-        [x <= -1.0, x < 0.0, x < 1.0],
-        [4.0 * x * x - 2.0, 2.0 * np.square(np.square(xn)), xp**1.5],
-        default=0.75 * x * x + 0.25,
+    return _quartic_pieces(
+        np.asarray(x, dtype=float), -1.0, 1.0,
+        lambda v: 4.0 * v * v - 2.0, lambda v: 2.0 * np.square(np.square(v)),
+        lambda v: v**1.5, lambda v: 0.75 * v * v + 0.25,
     )
 
 
 def quartic_mixed_fprime(x):
     """Derivative of :func:`quartic_mixed_f`: continuous and strictly
     increasing, with flattening of order ``x^3`` at the origin."""
-    x = np.asarray(x, dtype=float)
-    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
-    return np.select(
-        [x <= -1.0, x < 0.0, x < 1.0],
-        [8.0 * x, 8.0 * xn * xn * xn, 1.5 * np.sqrt(xp)],
-        default=1.5 * x,
+    return _quartic_pieces(
+        np.asarray(x, dtype=float), -1.0, 1.0,
+        lambda v: 8.0 * v, lambda v: 8.0 * v * v * v, lambda v: 1.5 * np.sqrt(v),
+        lambda v: 1.5 * v,
     )
 
 
 def quartic_mixed_fsecond(x):
     """Second derivative of :func:`quartic_mixed_f`: ``8``, ``24x^2``,
     ``0.75/sqrt(x)``, ``1.5`` on the pieces; infinite at ``0+``."""
-    x = np.asarray(x, dtype=float)
-    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     with np.errstate(divide="ignore"):
-        right = 0.75 / np.sqrt(xp)
-    return np.select(
-        [x <= -1.0, x < 0.0, x < 1.0],
-        [8.0, 24.0 * xn * xn, right],
-        default=1.5,
-    )
+        return _quartic_pieces(
+            np.asarray(x, dtype=float), -1.0, 1.0,
+            lambda v: 8.0, lambda v: 24.0 * v * v, lambda v: 0.75 / np.sqrt(v), lambda v: 1.5,
+        )
 
 
 def quartic_mixed_resolvent(x, gamma: float = 1.0):
@@ -326,17 +337,17 @@ def quartic_mixed_resolvent(x, gamma: float = 1.0):
     """
     if not gamma > 0:
         raise DomainError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
     lo, hi = -(1.0 + 8.0 * gamma), 1.0 + 1.5 * gamma
     c = math.sqrt(8.0 * gamma)
-    # each piece sees its own interval only, so none can overflow
-    neg = cubic_resolvent(c * np.clip(x, lo, 0.0)) / c
-    xp = np.clip(x, 0.0, hi)
-    s = 2.0 * xp / (1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * xp))
-    return np.select(
-        [x <= lo, x < 0.0, x < hi],
-        [x / (1.0 + 8.0 * gamma), neg, s * s],
-        default=x / hi,
+
+    def sqrt_piece(v):
+        s = 2.0 * v / (1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * v))
+        return s * s
+
+    return _quartic_pieces(
+        np.asarray(x, dtype=float), lo, hi,
+        lambda v: v / (1.0 + 8.0 * gamma), lambda v: cubic_resolvent(c * v) / c, sqrt_piece,
+        lambda v: v / hi,
     )
 
 
@@ -510,17 +521,22 @@ def staircase_eval(x):
     """
     p = default_staircase()
     pts = np.asarray(x, dtype=float)
-    x1 = pts[..., 0].copy()  # contiguous: np.searchsorted is slow on a strided column
+    x1 = pts[..., 0]
     if np.any(x1 > p.a[p.cap]):
         raise SequenceOverflow(
             f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}"
         )
-    idx = np.searchsorted(p.a, x1, side="left")
-    safe = np.clip(idx, 1, p.cap)  # searchsorted puts NaN past the last breakpoint
-    frac = (x1 - p.a.take(safe - 1)) / p.pow2.take(safe)
-    vals = p.prefix.take(safe - 1, axis=0)
-    vals += frac[..., None] * p.kw.take(safe, axis=0)
-    vals[idx == 0] = 0.0
+    vals = np.zeros(x1.shape + (2,))
+    # only the rows right of the origin walk the staircase, the NaN rows too;
+    # the gather leaves them contiguous, where np.searchsorted is fast
+    right = ~(x1 <= 0.0)
+    xr = x1[right]
+    # searchsorted puts NaN past the last breakpoint
+    seg = np.minimum(np.searchsorted(p.a, xr, side="left"), p.cap)
+    frac = (xr - p.a.take(seg - 1)) / p.pow2.take(seg)
+    walk = p.prefix.take(seg - 1, axis=0)
+    walk += frac[:, None] * p.kw.take(seg, axis=0)
+    vals[right] = walk
     return vals
 
 

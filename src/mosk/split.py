@@ -110,16 +110,13 @@ class IterationTrace:
         configuration as JSON."""
         n, d = self.iterates.shape
         header = ["iter"] + [f"x_{i}" for i in range(d)]
-        columns = [np.arange(n, dtype=float), self.iterates]
+        columns = [range(n), self.iterates]
         if self.shadows is not None:
             header += [f"y_{i}" for i in range(d)]
             columns.append(self.shadows)
-        # rows past the last step keep a placeholder that prints as ""
         stepped = min(len(self.residuals), n)
-        residuals = np.zeros(n)
-        residuals[:stepped] = self.residuals[:stepped]
         header.append("residual")
-        columns.append(residuals)
+        columns.append(self.residuals[:stepped])
         if self.probe_coords:
             header += [f"probe_{k}" for k in self.probe_coords]
             columns.append(self.weak_probes)
@@ -128,12 +125,13 @@ class IterationTrace:
 
 def _write_table(path, config: Optional[dict], header: Sequence[str], columns, stepped: int,
                  cycle: Optional[Tuple[int, int]] = None):
-    """Write ``columns`` (1-D or 2-D arrays of equal length, laid side by
-    side) as CSV under ``header``: ``%d`` for the first field, which holds
-    whole numbers below ``2**53``, 17 significant digits for the others,
-    ``\r\n`` line ends, and a leading ``#`` comment line holding ``config``
-    as JSON unless it is None.  Rows from ``stepped`` on print their
-    ``residual`` field empty.
+    """Write ``columns`` (1-D or 2-D arrays, laid side by side) as CSV under
+    ``header``: ``%d`` for the first field, which holds whole numbers below
+    ``2**53``, 17 significant digits for the others, ``\r\n`` line ends,
+    and a leading ``#`` comment line holding ``config`` as JSON unless it is
+    None.  The first column sets the number of rows, and a ``range`` column
+    is made floats one block at a time.  Rows from ``stepped`` on print
+    their ``residual`` field empty, and a column may end at ``stepped``.
 
     The file is written in blocks of about ``CSV_BLOCK_VALUES`` fields, and
     no work is repeated that the bytes do not need.  A block whose fields
@@ -160,7 +158,7 @@ def _write_table(path, config: Optional[dict], header: Sequence[str], columns, s
         c, p = cycle
         if 0 <= c and 0 < p and p * width <= CSV_BLOCK_VALUES and c + p < stepped:
             copied = c + p
-            floats = np.column_stack([col[c:copied] for col in columns])[:, 1:]
+            floats = _rows(columns, c, copied)[:, 1:]
             # each period row's float fields, with their leading commas and
             # the line end; no formatted number holds a space
             text = (",%.17g" * (width - 1) + "\r\n ") * p % tuple(floats.ravel().tolist())
@@ -174,7 +172,7 @@ def _write_table(path, config: Optional[dict], header: Sequence[str], columns, s
         carried = None
         for fmt, empty, lo, hi, period in segments:
             for b in range(lo, hi, block):
-                table = np.column_stack([col[b:min(b + block, hi)] for col in columns])
+                table = _rows(columns, b, min(b + block, hi))
                 text = None
                 if period is not None:
                     text = _copied_block(table, b, *period)
@@ -183,6 +181,23 @@ def _write_table(path, config: Optional[dict], header: Sequence[str], columns, s
                 if text is None:
                     text = (fmt * len(table)) % tuple(table.ravel().tolist())
                 fh.write(text)
+
+
+def _rows(columns, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo .. hi-1`` of ``columns`` side by side as one float table; a
+    ``range`` column is made floats here, and a column that ends before
+    ``hi`` (the residuals, past the last step) is padded with zeros."""
+    parts = []
+    for col in columns:
+        if isinstance(col, range):
+            r = col[lo:hi]
+            part = np.arange(r.start, r.stop, r.step, dtype=float)
+        else:
+            part = col[lo:hi]
+            if len(part) < hi - lo:
+                part = np.concatenate([part, np.zeros(hi - lo - len(part))])
+        parts.append(part)
+    return np.column_stack(parts)
 
 
 def _copied_block(table: np.ndarray, first: int, c: int, bits: np.ndarray,

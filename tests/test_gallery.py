@@ -652,6 +652,243 @@ def test_normal_cone_zero_resolvents_are_float_zeros_of_the_input_shape():
 
 
 # ---------------------------------------------------------------------------
+# piecewise oracles: each piece on its own elements, bit for bit the
+# whole-array forms that evaluated every piece everywhere and then selected
+# ---------------------------------------------------------------------------
+
+
+def _ref_h_value(s):
+    s = np.asarray(s, dtype=float)
+    small = np.abs(s) <= gallery._H_SERIES_CUTOFF
+    ss = np.where(small, s, 0.0)
+    w = np.cbrt(6.0 * ss)
+    t = w + w * w * w / 60.0
+    for _ in range(3):
+        f = gallery._t_minus_sin_series(t) - ss
+        d = 2.0 * np.sin(0.5 * t) ** 2
+        t = np.where(d > 0, t - f / np.where(d > 0, d, 1.0), t)
+    big = gallery.h_solver.solve(np.where(small, 0.0, s))
+    return np.where(small, t, big)
+
+
+def _ref_clamp_sin_operator_eval(x):
+    x = np.asarray(x, dtype=float)
+    mid = np.abs(x) < gallery.BREAK_OUTER
+    xm = np.where(mid, x, 0.0)
+    mid_vals = gallery.g_solver.solve(2.0 * xm) - xm
+    return np.where(x <= -gallery.BREAK_OUTER, x + 1.0,
+                    np.where(x >= gallery.BREAK_OUTER, x - 1.0, mid_vals))
+
+
+def _ref_clamp_sin_operator_inverse_eval(x):
+    x = np.asarray(x, dtype=float)
+    mid = np.abs(x) < gallery.BREAK_INNER
+    xm = np.where(mid, x, 0.0)
+    mid_vals = _ref_h_value(2.0 * xm) - xm
+    return np.where(x <= -gallery.BREAK_INNER, x - 1.0,
+                    np.where(x >= gallery.BREAK_INNER, x + 1.0, mid_vals))
+
+
+def _ref_clamp_sin_resolvent(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) <= gallery._H_SERIES_CUTOFF
+    series = 0.5 * gallery._t_minus_sin_series(np.where(small, x, 0.0))
+    return np.where(small, series, 0.5 * (x - gallery.clamp_sin(x)))
+
+
+def _ref_clamp_sin_f(x):
+    x = np.asarray(x, dtype=float)
+    mid = np.abs(x) < gallery.BREAK_OUTER
+    xm = np.where(mid, x, 0.0)
+    g = gallery.g_solver.solve(2.0 * xm)
+    mid_vals = 0.5 * (2.0 * xm * g - 0.5 * g * g + np.cos(g) - xm * xm - 0.5 * (np.pi - 1.0))
+    return np.where(x <= -gallery.BREAK_OUTER, 0.5 * (x + 1.0) ** 2,
+                    np.where(x >= gallery.BREAK_OUTER, 0.5 * (x - 1.0) ** 2, mid_vals))
+
+
+def _ref_clamp_sin_fstar(x):
+    x = np.asarray(x, dtype=float)
+    mid = np.abs(x) < gallery.BREAK_INNER
+    xm = np.where(mid, x, 0.0)
+    h = _ref_h_value(2.0 * xm)
+    mid_vals = 0.5 * (2.0 * xm * h - 0.5 * h * h - np.cos(h) - xm * xm + 0.5 * (np.pi - 1.0))
+    return np.where(x <= -gallery.BREAK_INNER, 0.5 * (x * x - 2.0 * x),
+                    np.where(x >= gallery.BREAK_INNER, 0.5 * (x * x + 2.0 * x), mid_vals))
+
+
+def _ref_quartic_mixed_f(x):
+    x = np.asarray(x, dtype=float)
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
+    return np.select([x <= -1.0, x < 0.0, x < 1.0],
+                     [4.0 * x * x - 2.0, 2.0 * np.square(np.square(xn)), xp**1.5],
+                     default=0.75 * x * x + 0.25)
+
+
+def _ref_quartic_mixed_fprime(x):
+    x = np.asarray(x, dtype=float)
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
+    return np.select([x <= -1.0, x < 0.0, x < 1.0],
+                     [8.0 * x, 8.0 * xn * xn * xn, 1.5 * np.sqrt(xp)], default=1.5 * x)
+
+
+def _ref_quartic_mixed_fsecond(x):
+    x = np.asarray(x, dtype=float)
+    xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        right = 0.75 / np.sqrt(xp)
+    return np.select([x <= -1.0, x < 0.0, x < 1.0], [8.0, 24.0 * xn * xn, right], default=1.5)
+
+
+def _ref_quartic_mixed_resolvent(x, gamma=1.0):
+    if not gamma > 0:
+        raise DomainError("gamma must be positive")
+    x = np.asarray(x, dtype=float)
+    lo, hi = -(1.0 + 8.0 * gamma), 1.0 + 1.5 * gamma
+    c = math.sqrt(8.0 * gamma)
+    neg = gallery.cubic_resolvent(c * np.clip(x, lo, 0.0)) / c
+    xp = np.clip(x, 0.0, hi)
+    s = 2.0 * xp / (1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * xp))
+    return np.select([x <= lo, x < 0.0, x < hi], [x / (1.0 + 8.0 * gamma), neg, s * s],
+                     default=x / hi)
+
+
+def _ref_staircase_eval(x):
+    p = gallery.default_staircase()
+    pts = np.asarray(x, dtype=float)
+    x1 = pts[..., 0].copy()
+    if np.any(x1 > p.a[p.cap]):
+        raise SequenceOverflow(
+            f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}")
+    idx = np.searchsorted(p.a, x1, side="left")
+    safe = np.clip(idx, 1, p.cap)
+    frac = (x1 - p.a.take(safe - 1)) / p.pow2.take(safe)
+    vals = p.prefix.take(safe - 1, axis=0)
+    vals += frac[..., None] * p.kw.take(safe, axis=0)
+    vals[idx == 0] = 0.0
+    return vals
+
+
+_GAMMAS = (1e-3, 0.5, 1.0, 3.0, 1e3)
+_PIECEWISE = {
+    "h_value": (gallery.h_value, _ref_h_value),
+    "clamp_sin_operator_eval": (gallery.clamp_sin_operator_eval, _ref_clamp_sin_operator_eval),
+    "clamp_sin_operator_inverse_eval": (gallery.clamp_sin_operator_inverse_eval,
+                                        _ref_clamp_sin_operator_inverse_eval),
+    "clamp_sin_resolvent": (gallery.clamp_sin_resolvent, _ref_clamp_sin_resolvent),
+    "clamp_sin_f": (gallery.clamp_sin_f, _ref_clamp_sin_f),
+    "clamp_sin_fstar": (gallery.clamp_sin_fstar, _ref_clamp_sin_fstar),
+    "quartic_mixed_f": (gallery.quartic_mixed_f, _ref_quartic_mixed_f),
+    "quartic_mixed_fprime": (gallery.quartic_mixed_fprime, _ref_quartic_mixed_fprime),
+    "quartic_mixed_fsecond": (gallery.quartic_mixed_fsecond, _ref_quartic_mixed_fsecond),
+    **{f"quartic_mixed_resolvent-{g}": (
+        lambda x, g=g: gallery.quartic_mixed_resolvent(x, g),
+        lambda x, g=g: _ref_quartic_mixed_resolvent(x, g)) for g in _GAMMAS},
+}
+
+
+def _both_sides(points):
+    p = np.asarray(points, dtype=float)
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+
+
+def _piecewise_points():
+    """Both sides of every breakpoint of the piecewise oracles, the special
+    values, and a spread over each piece."""
+    h_lo, h_hi = gallery.h_solver.range()
+    cut = gallery._H_SERIES_CUTOFF
+    breaks = [gallery.BREAK_INNER, gallery.BREAK_OUTER, cut, cut / 2.0, 1.0, 0.0,
+              2.0 * gallery.BREAK_INNER, 2.0 * gallery.BREAK_OUTER, h_hi]
+    breaks += [1.0 + 1.5 * g for g in _GAMMAS] + [1.0 + 8.0 * g for g in _GAMMAS]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e300, -1e300,
+               np.inf, -np.inf]
+    rng = np.random.default_rng(27)
+    spread = np.concatenate([rng.uniform(-4.0, 4.0, 400), rng.uniform(-0.01, 0.01, 100),
+                             rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)])
+    return np.concatenate([_both_sides(breaks), -_both_sides(breaks), special, spread])
+
+
+def _outcome(fn, x):
+    # the whole-array forms also warned on the pieces they threw away (as
+    # clamp_sin_fstar(-inf) on inf - inf), so only results and errors count
+    try:
+        with np.errstate(all="ignore"):
+            return fn(x)
+    except Exception as exc:  # the same error, raised by both forms
+        return exc
+
+
+def _assert_same(got, want, what):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (what, got, want)
+        return
+    assert type(got) is type(want) is np.ndarray, (what, type(got))
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("name", sorted(_PIECEWISE))
+def test_piecewise_oracles_are_the_whole_array_forms_bit_for_bit(name):
+    fn, ref = _PIECEWISE[name]
+    points = _piecewise_points()
+    if name == "h_value":
+        # h lives on the range of t - sin t; beyond it both forms raise DomainError
+        lo, hi = gallery.h_solver.range()
+        points = points[(points >= lo) & (points <= hi)]
+        nan_batch, wide = np.append(points, np.nan), np.array([0.1, 2.0 * hi])
+    else:
+        nan_batch, wide = np.append(points, np.nan), None
+    inputs = [points, points.reshape(-1, 1), points[:60].reshape(6, 10), np.array([]),
+              np.empty((0, 1)), nan_batch, points[::-1]]
+    inputs += [float(v) for v in points[::7]] + [np.array(v) for v in points[::5]]
+    inputs += [np.array([v]) for v in points[::3]] + [np.nan, [np.nan, 0.5]]
+    if wide is not None:
+        inputs += [wide, float(wide[1])]
+    for x in inputs:
+        _assert_same(_outcome(fn, x), _outcome(ref, x), (name, x))
+
+
+def test_piecewise_oracles_raise_as_the_whole_array_forms():
+    # out-of-range, NaN and 0-d inputs of h take the error path in both forms
+    lo, hi = gallery.h_solver.range()
+    for x in ([0.1, 2.0 * hi], 2.0 * lo, [np.nan], np.nan, [0.001, np.nan]):
+        want = _outcome(_ref_h_value, x)
+        assert isinstance(want, Exception)
+        _assert_same(_outcome(gallery.h_value, x), want, x)
+    for g in (0.0, -1.0, np.nan):
+        want = _outcome(lambda x: _ref_quartic_mixed_resolvent(x, g), 1.0)
+        assert isinstance(want, DomainError)
+        _assert_same(_outcome(lambda x: gallery.quartic_mixed_resolvent(x, g), 1.0), want, g)
+
+
+def test_staircase_eval_is_the_whole_array_form_bit_for_bit():
+    p = gallery.default_staircase()
+    x1 = np.concatenate([_both_sides(p.a), _both_sides([0.0, -1.0]), _piecewise_points()])
+    x1 = x1[~(x1 > p.a[p.cap])]
+    x1 = np.concatenate([x1, [np.nan, -np.nan, -0.0]])
+    pts = np.stack([x1, np.linspace(-3.0, 3.0, x1.size)], axis=1)
+    inputs = [pts, pts[::-1], pts[:40].reshape(4, 10, 2), np.empty((0, 2)), pts[:, ::-1].T.T,
+              np.asfortranarray(pts), [np.nan, 1.0], [0.0, 2.0], [3.0, -1.0], [-0.0, 0.0]]
+    inputs += [row for row in pts[::9]] + [pts[i:i + 1] for i in range(0, len(pts), 11)]
+    inputs += [[p.a[p.cap] * 2.1, 0.0], [[1.0, 0.0], [np.inf, 0.0]], [[1.0, 0.0, 5.0]]]
+    for x in inputs:
+        _assert_same(_outcome(gallery.staircase_eval, x),
+                     _outcome(_ref_staircase_eval, x), x)
+
+
+def test_gallery_has_no_np_select():
+    # np.select evaluates every piece on every element; gallery's piecewise
+    # oracles gather each piece's own elements instead
+    src = Path(gallery.__file__).read_text(encoding="utf-8")
+    bad = [
+        node.lineno
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Attribute) and node.attr == "select"
+        or isinstance(node, ast.Name) and node.id == "select"
+    ]
+    assert bad == []
+
+
+# ---------------------------------------------------------------------------
 # rotator, cone witnesses, shift
 # ---------------------------------------------------------------------------
 

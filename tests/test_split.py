@@ -537,8 +537,7 @@ def test_write_csv_memory_is_block_bounded(tmp_path):
     assert shares[0] <= split.CSV_REPEAT_SHARE < shares[1]
     cycled = _csv_cases()["pr-cycle-100000"]
     assert cycled.cycle is not None
-    # write_csv lays out an iteration and a residual column of the trace's
-    # length (8 bytes a row each); what writing adds beyond them is one block
+    # the iteration and residual columns are laid out one block at a time too
     for tr, path in ((repeated, "repeated"), (distinct, "distinct"), (cycled, "cycled")):
         tracemalloc.start()
         try:
@@ -546,7 +545,7 @@ def test_write_csv_memory_is_block_bounded(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20 + (16 * len(tr.iterates) if path == "cycled" else 0), (path, peak)
+        assert peak < 2 ** 20, (path, peak)
 
 
 def _same_bits(a, b):

@@ -86,6 +86,14 @@ SPLIT = {
     "split-pr-rotator-zero-cycle": _split("pr", "rotator", "zero", "--dim", "2",
                                           "--x0=0.3,-1.7", "--max-iter", "1001"),
 }
+# the piecewise oracles' breakpoints: clamp-sin-op's series range and
+# BREAK_INNER, and quartic-mixed's -(1 + 8 gamma) = -5 at gamma 0.5
+SPLIT["split-fb-clamp-series-x0"] = _split("fb", "identity", "clamp-sin-op", "--gamma", "0.5",
+                                           "--x0", "0.001")
+SPLIT["split-fb-clamp-break-inner-x0"] = _split("fb", "identity", "clamp-sin-op", "--gamma",
+                                                "0.5", "--x0", "0.2853981633974483")
+SPLIT["split-fb-quartic-cross-low-break"] = _split("fb", "identity", "quartic-mixed", "--gamma",
+                                                   "0.5", "--x0=-12")
 for _b in ("cubic", "quartic-mixed", "clamp-sin-op"):
     for _g in ("0.5", "1.5"):
         SPLIT[f"split-fb-identity-{_b}-{_g}"] = _split("fb", "identity", _b, "--gamma", _g,
