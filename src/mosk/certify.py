@@ -147,13 +147,39 @@ def _unit_dirs(rng: np.random.Generator, n: int, d: int, out=None) -> np.ndarray
     rng.standard_normal(out=v)
     step = _block_rows(d)
     for lo in range(0, n, step):
-        v[lo:lo + step] /= np.maximum(_norm(v[lo:lo + step]), 1e-300)[:, None]
+        rows = v[lo:lo + step]
+        _scale_rows(rows, np.maximum(_norm(rows), 1e-300), divide=True)
     return v
 
 
-def _uniform(rng: np.random.Generator, out: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _scale_rows(v: np.ndarray, c: np.ndarray, divide: bool = False) -> np.ndarray:
+    """``v *= c[:, None]``, or ``v /= c[:, None]`` when ``divide``, in place
+    and bit for bit.  Below 5 columns it scales one column at a time: the
+    broadcast runs numpy's inner loop once per row, on a handful of
+    entries."""
+    op = np.divide if divide else np.multiply
+    if v.shape[1] < 5:
+        for j in range(v.shape[1]):
+            op(v[:, j], c, out=v[:, j])
+    else:
+        op(v, c[:, None], out=v)
+    return v
+
+
+def _box_bounds(lo: np.ndarray, hi: np.ndarray):
+    """``(lo, hi)``, as two floats when the box is the same in every
+    coordinate, so that :func:`_uniform` scales by scalars and not by a
+    broadcast row.  A signed zero compares equal to the other, and it may
+    then stand for it: the scaled draw ``(hi - lo) * r`` is never -0.0."""
+    if (lo == lo[0]).all() and (hi == hi[0]).all():
+        return float(lo[0]), float(hi[0])
+    return lo, hi
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray, lo, hi):
     """Fill ``out`` with ``rng.uniform(lo, hi, out.shape)`` bit for bit: the
-    same draws in C order, scaled in place as ``lo + (hi - lo) * r``."""
+    same draws in C order, scaled in place as ``lo + (hi - lo) * r``.  The
+    bounds are arrays of a coordinate each or floats (:func:`_box_bounds`)."""
     rng.random(out=out)
     out *= hi - lo
     out += lo
@@ -190,14 +216,14 @@ def _pair_stream(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
     read in order, since normal and sign draws take a varying number.
     """
     n, d = cfg.sample_count, cfg.dim
-    lo, hi = cfg.box_low, cfg.box_high
     k = len(STRATEGIES)
     counts = [n // k] * k
     counts[0] += n - sum(counts)
     if shell_distances is None or len(shell_distances) == 0:
-        ladder = _diagonal(lo, hi) * 2.0 ** (-np.arange(8.0))
+        ladder = _diagonal(cfg.box_low, cfg.box_high) * 2.0 ** (-np.arange(8.0))
     else:
         ladder = np.asarray(sorted(shell_distances), dtype=float)
+    lo, hi = _box_bounds(cfg.box_low, cfg.box_high)
     m0, m1, m2 = counts
 
     def cursor(offset: int) -> np.random.Generator:
@@ -217,8 +243,7 @@ def _pair_stream(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
 
     def radial(x, y, i):  # y = x + t * dir
         _uniform(rad, x, lo, hi)
-        _unit_dirs(dirs, len(y), d, out=y)
-        y *= _cycle(ladder, len(y), i)[:, None]
+        _scale_rows(_unit_dirs(dirs, len(y), d, out=y), _cycle(ladder, len(y), i))
         y += x
 
     segments = [(0, m0, independent), (m0, m1, antithetic), (m0 + m1, m2, radial)]
@@ -261,10 +286,10 @@ def _ring_pair_batches(rng, dim, dist_floor, ring_samples):
         radius = rng.random(ring_samples)
         radius += 1.0
         radius *= r
-        x *= radius[:, None]
+        _scale_rows(x, radius)
         y = _unit_dirs(rng, ring_samples, dim)
         n_lad = int(np.floor(np.log2(smax / dist_floor))) + 1
-        y *= _cycle(dist_floor * 2.0 ** np.arange(n_lad), ring_samples)[:, None]
+        _scale_rows(y, _cycle(dist_floor * 2.0 ** np.arange(n_lad), ring_samples))
         y += x
         rings.append((r, x, y))
     return rings
@@ -338,7 +363,8 @@ class ModulusEstimate(ClassCertificate):
 
 
 def _points(*arrays) -> list:
-    return [[float(v) for v in np.atleast_1d(a)] for a in arrays]
+    """The arrays as lists of Python floats."""
+    return [np.atleast_1d(np.asarray(a, dtype=float)).tolist() for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +384,33 @@ def _points(*arrays) -> list:
 # whole draw.
 
 
-def _rowsum(p):
+def _rowsum(p, squares: bool = False):
     """``np.sum(p, axis=1)`` bit for bit.  Below 8 columns numpy adds a
-    row's entries in order onto 0.0, and from 8 up it sums them pairwise;
-    the column adds give the in-order sum without numpy's per-row loop."""
+    row's entries in order; from 8 to 15 it adds the first eight as the tree
+    ``((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))`` and then the rest in order;
+    either sum then goes onto 0.0.  Column adds build these sums without
+    numpy's per-row loop, the tree only in a C-ordered block; other blocks
+    keep ``np.sum``.  The add onto 0.0 only turns -0.0 into 0.0, so it is
+    left out for ``squares``, which are never -0.0."""
     d = p.shape[1]
-    if not 0 < d < 8:
+    if 0 < d < 8:
+        out, rest = (p[:, 0] + p[:, 1], range(2, d)) if d > 1 else (p[:, 0], ())
+    elif 8 <= d < 16 and p.flags.c_contiguous:
+        out = p[:, 0] + p[:, 1]
+        out += p[:, 2] + p[:, 3]
+        high = p[:, 4] + p[:, 5]
+        high += p[:, 6] + p[:, 7]
+        out += high
+        rest = range(8, d)
+    else:
         return np.sum(p, axis=1)
-    out = p[:, 0] + 0.0  # onto 0.0, as numpy does: -0.0 becomes 0.0
-    for j in range(1, d):
+    for j in rest:
         out += p[:, j]
-    return out
+    return out if squares else out + 0.0
 
 
 def _sq(a):
-    return _rowsum(a * a)
+    return _rowsum(a * a, squares=True)
 
 
 def _dot(a, b):

@@ -178,10 +178,10 @@ def clamp_sin(x):
 def _branch_pieces(x: np.ndarray, brk: float, below, mid, above) -> np.ndarray:
     """A clamped-sine branch formula: ``below`` on ``x <= -brk``, ``mid``
     between, ``above`` on ``x >= brk``, each on its own elements.  A NaN lies
-    in no piece; it is given to ``mid`` as 0."""
-    lo, hi = x <= -brk, x >= brk
-    return _piecewise(x, (lo, below), (hi, above),
-                      (~(lo | hi), lambda v: mid(np.where(np.abs(v) < brk, v, 0.0))))
+    in no piece and is returned as it is."""
+    lo, hi, nan = x <= -brk, x >= brk, np.isnan(x)
+    return _piecewise(x, (lo, below), (hi, above), (nan, lambda v: v),
+                      (~(lo | hi | nan), mid))
 
 
 def clamp_sin_operator_eval(x):
@@ -317,11 +317,13 @@ def quartic_mixed_fprime(x):
 
 def quartic_mixed_fsecond(x):
     """Second derivative of :func:`quartic_mixed_f`: ``8``, ``24x^2``,
-    ``0.75/sqrt(x)``, ``1.5`` on the pieces; infinite at ``0+``."""
+    ``0.75/sqrt(x)``, ``1.5`` on the pieces; ``+inf`` at ``0.0`` and at
+    ``-0.0``, which the ``[0, 1)`` piece takes as ``+0.0``."""
     with np.errstate(divide="ignore"):
         return _quartic_pieces(
             np.asarray(x, dtype=float), -1.0, 1.0,
-            lambda v: 8.0, lambda v: 24.0 * v * v, lambda v: 0.75 / np.sqrt(v), lambda v: 1.5,
+            lambda v: 8.0, lambda v: 24.0 * v * v, lambda v: 0.75 / np.sqrt(v + 0.0),
+            lambda v: 1.5,
         )
 
 
@@ -408,7 +410,11 @@ def fenchel_conjugate_1d(entry: FunctionEntry, xstar):
 def rotator_eval(x):
     """The planar quarter-turn ``(x1, x2) -> (-x2, x1)``."""
     x = np.asarray(x, dtype=float)
-    return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+    out = np.empty(x.shape[:-1] + (2,))
+    # a column at a time: a stack of the two columns copies row by row
+    np.negative(x[..., 1], out=out[..., 0])
+    out[..., 1] = x[..., 0]
+    return out
 
 
 def rotator_resolvent(x):
@@ -456,8 +462,11 @@ def shift_eval(x):
     resolvent building block.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[..., 1:] = x[..., :-1]
+    out = np.empty(x.shape)
+    # one flat copy shifted by an element; each row's first entry, which
+    # took the previous row's last, is then zeroed
+    out.reshape(-1)[1:] = x.reshape(-1)[:-1]
+    out[..., :1] = 0.0
     return out
 
 
@@ -521,22 +530,26 @@ def staircase_eval(x):
     """
     p = default_staircase()
     pts = np.asarray(x, dtype=float)
-    x1 = pts[..., 0]
-    if np.any(x1 > p.a[p.cap]):
+    x1 = pts[..., 0].reshape(-1)
+    # only the rows right of the origin walk the staircase, the NaN rows too;
+    # the gather leaves them contiguous, where np.searchsorted is fast, and
+    # an index gather and scatter are cheaper than boolean ones
+    right = np.flatnonzero(~(x1 <= 0.0))
+    xr = x1.take(right)
+    if np.any(xr > p.a[p.cap]):
         raise SequenceOverflow(
             f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}"
         )
-    vals = np.zeros(x1.shape + (2,))
-    # only the rows right of the origin walk the staircase, the NaN rows too;
-    # the gather leaves them contiguous, where np.searchsorted is fast
-    right = ~(x1 <= 0.0)
-    xr = x1[right]
+    vals = np.zeros(pts.shape[:-1] + (2,))
     # searchsorted puts NaN past the last breakpoint
     seg = np.minimum(np.searchsorted(p.a, xr, side="left"), p.cap)
     frac = (xr - p.a.take(seg - 1)) / p.pow2.take(seg)
-    walk = p.prefix.take(seg - 1, axis=0)
-    walk += frac[:, None] * p.kw.take(seg, axis=0)
-    vals[right] = walk
+    # one coordinate at a time, so that no numpy loop runs per row
+    rows = vals.reshape(-1, 2)
+    for j in range(2):
+        walk = p.prefix[:, j].take(seg - 1)
+        walk += frac * p.kw[:, j].take(seg)
+        rows[:, j][right] = walk
     return vals
 
 

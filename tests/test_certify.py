@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import math
+import struct
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -818,9 +819,62 @@ def test_ring_pair_batches_match_the_resize_reference(d):
                 assert np.array_equal(_bits(x), _bits(xr)) and np.array_equal(_bits(y), _bits(yr))
 
 
+# The row kernels against the broadcast forms they replaced, bit for bit
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+def test_uniform_is_rng_uniform_bit_for_bit(d):
+    signed = (np.where(np.arange(d) % 2, -0.0, 0.0), np.full(d, 1e-300))
+    wide = (np.full(d, -1e300), np.full(d, 1e300))
+    for lo, hi in [*_boxes(d), signed, wide]:
+        bounds = certify._box_bounds(lo, hi)
+        # a box the same in every coordinate is scaled by floats, others by rows
+        same = d == 1 or lo[0] == lo[1] and hi[0] == hi[1]
+        assert all(type(b) is (float if same else np.ndarray) for b in bounds)
+        for n in (0, 1, 7, 4096):
+            got = np.empty((n, d))
+            certify._uniform(np.random.default_rng(n + d), got, *bounds)
+            want = np.random.default_rng(n + d).uniform(lo, hi, (n, d))
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def _scale_factors(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, size=n)
+    c[::7], c[1::11], c[2::13], c[3::17] = -0.0, 0.0, np.inf, np.nan
+    c[4::19], c[5::23] = 5e-324, -np.inf
+    return c
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_scale_rows_is_the_row_broadcast_bit_for_bit(d):
+    c = _scale_factors(3000, seed=d)
+    for order in "CF":
+        v = np.array(_extreme_rows(3000, d, seed=50 + d), order=order)
+        v[9::31] = -5e-324  # subnormal rows
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            for divide in (False, True):
+                got = v.copy(order=order)
+                assert certify._scale_rows(got, c, divide=divide) is got
+                want = v / c[:, None] if divide else v * c[:, None]
+                assert np.array_equal(_bits(got), _bits(want)), (order, divide)
+
+
+def test_points_are_the_lists_of_python_floats_of_before():
+    rows = [np.array([1.5, -0.0, np.nan, -np.inf, 5e-324]), np.float64(-2.5), np.array(3.0),
+            np.arange(3), np.array([0.1, -7.0], dtype=np.float32), np.empty(0)]
+    got = certify._points(*rows)
+    want = [[float(v) for v in np.atleast_1d(a)] for a in rows]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is list and all(type(v) is float for v in g)
+        assert [struct.pack("<d", v) for v in g] == [struct.pack("<d", v) for v in w]
+
+
 def test_row_reductions_only_in_rowsum_and_no_resize():
-    # np.sum / np.linalg.norm over rows loop per row in numpy; the row
-    # kernels are column adds (_rowsum), and np.resize is a slow cycle
+    # np.sum / np.linalg.norm over rows and a [:, None] row broadcast loop per
+    # row in numpy; the row kernels are column adds (_rowsum) and column
+    # scaling (_scale_rows), and np.resize is a slow cycle
     tree = ast.parse(Path(certify.__file__).read_text())
     bad = []
     for top in tree.body:
@@ -828,6 +882,9 @@ def test_row_reductions_only_in_rowsum_and_no_resize():
             name = ast.unparse(node) if isinstance(node, ast.Attribute) else None
             if name == "np.resize":
                 bad.append((node.lineno, name))
+            if (isinstance(node, ast.Subscript) and ast.unparse(node).endswith("[:, None]")
+                    and getattr(top, "name", None) != "_scale_rows"):
+                bad.append((node.lineno, ast.unparse(node)))
             if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.sum", "np.linalg.norm")
                     and any(kw.arg == "axis" for kw in node.keywords)
                     and getattr(top, "name", None) != "_rowsum"):

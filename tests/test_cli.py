@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cubic" in proc.stdout
+
+
+_IMPORTS_PROBE = """
+import json, sys
+import mosk
+seen = [("import mosk", "numpy.random" in sys.modules)]
+from mosk.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    seen.append((argv[0], code, "numpy.random" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_draw_nothing_never_import_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB resident and 10 ms at start-up; only the
+    # sampling commands (certify, selfdual) need it
+    runs = [
+        ["gallery"],
+        ["split", "--algo", "pr", "--opA", "normal-cone-zero", "--opB", "zero", "--x0", "1",
+         "--max-iter", "50", "--out", "trace.csv"],
+        ["split", "--algo", "pr", "--opA", "normal-cone-zero", "--opB", "shift", "--dim", "256",
+         "--x0", "e1", "--probes", "8", "--out", "shift.csv"],
+        ["witness", "--example", "staircase-ssne", "--n", "20", "--out", "w.csv"],
+    ]
+    # the runs write their files in tmp_path, so mosk is found by its path
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen[0] == ["import mosk", False]
+    assert [tuple(s) for s in seen[1:]] == [(argv[0], 0, False) for argv in runs]
 
 
 def _golden_tool():

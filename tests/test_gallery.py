@@ -626,6 +626,29 @@ def test_fsecond_is_the_derivative_of_fprime(name, breaks):
     assert np.allclose(entry.eval_fsecond(x), central, rtol=1e-6, atol=1e-6)
 
 
+def test_quartic_mixed_fsecond_is_plus_inf_at_both_zeros():
+    # f' is nondecreasing, so its Newton slope is never negative: -0.0 lies in
+    # the [0, 1) piece and is taken there as +0.0
+    f2 = gallery.quartic_mixed_fsecond
+    for x in (0.0, -0.0, np.array(-0.0), np.array([-0.0, 0.0])):
+        got = f2(x)
+        assert np.all(np.isposinf(got)), x
+    # no other element moves
+    assert f2(np.array([-1e-300, 1e-300, 0.25])).tolist() == [0.0, 0.75 / math.sqrt(1e-300), 1.5]
+
+
+def test_clamp_sin_branch_formulas_return_nan_for_nan():
+    fns = (gallery.clamp_sin_operator_eval, gallery.clamp_sin_operator_inverse_eval,
+           gallery.clamp_sin_f, gallery.clamp_sin_fstar)
+    for fn in fns:
+        assert np.isnan(fn(np.nan)) and np.ndim(fn(np.nan)) == 0, fn.__name__
+        got = fn(np.array([np.nan, 0.3, -np.nan, -5.0, 5.0]))
+        assert np.isnan(got[[0, 2]]).all() and np.isfinite(got[[1, 3, 4]]).all(), fn.__name__
+    # the registry operator evaluates through the inverse formula
+    op = gallery.operator("clamp-sin-op")
+    assert np.isnan(op.direct_eval(np.array([[np.nan], [0.2]]))[0, 0])
+
+
 def test_gallery_has_no_integer_powers():
     # numpy's generic pow is ~50x slower than products on float64 arrays
     src = Path(gallery.__file__).read_text(encoding="utf-8")
@@ -676,6 +699,7 @@ def _ref_clamp_sin_operator_eval(x):
     mid = np.abs(x) < gallery.BREAK_OUTER
     xm = np.where(mid, x, 0.0)
     mid_vals = gallery.g_solver.solve(2.0 * xm) - xm
+    mid_vals = np.where(np.isnan(x), x, mid_vals)  # a NaN is returned as it is
     return np.where(x <= -gallery.BREAK_OUTER, x + 1.0,
                     np.where(x >= gallery.BREAK_OUTER, x - 1.0, mid_vals))
 
@@ -685,6 +709,7 @@ def _ref_clamp_sin_operator_inverse_eval(x):
     mid = np.abs(x) < gallery.BREAK_INNER
     xm = np.where(mid, x, 0.0)
     mid_vals = _ref_h_value(2.0 * xm) - xm
+    mid_vals = np.where(np.isnan(x), x, mid_vals)  # a NaN is returned as it is
     return np.where(x <= -gallery.BREAK_INNER, x - 1.0,
                     np.where(x >= gallery.BREAK_INNER, x + 1.0, mid_vals))
 
@@ -702,6 +727,7 @@ def _ref_clamp_sin_f(x):
     xm = np.where(mid, x, 0.0)
     g = gallery.g_solver.solve(2.0 * xm)
     mid_vals = 0.5 * (2.0 * xm * g - 0.5 * g * g + np.cos(g) - xm * xm - 0.5 * (np.pi - 1.0))
+    mid_vals = np.where(np.isnan(x), x, mid_vals)  # a NaN is returned as it is
     return np.where(x <= -gallery.BREAK_OUTER, 0.5 * (x + 1.0) ** 2,
                     np.where(x >= gallery.BREAK_OUTER, 0.5 * (x - 1.0) ** 2, mid_vals))
 
@@ -712,6 +738,7 @@ def _ref_clamp_sin_fstar(x):
     xm = np.where(mid, x, 0.0)
     h = _ref_h_value(2.0 * xm)
     mid_vals = 0.5 * (2.0 * xm * h - 0.5 * h * h - np.cos(h) - xm * xm + 0.5 * (np.pi - 1.0))
+    mid_vals = np.where(np.isnan(x), x, mid_vals)  # a NaN is returned as it is
     return np.where(x <= -gallery.BREAK_INNER, 0.5 * (x * x - 2.0 * x),
                     np.where(x >= gallery.BREAK_INNER, 0.5 * (x * x + 2.0 * x), mid_vals))
 
@@ -735,7 +762,7 @@ def _ref_quartic_mixed_fsecond(x):
     x = np.asarray(x, dtype=float)
     xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     with np.errstate(divide="ignore"):
-        right = 0.75 / np.sqrt(xp)
+        right = 0.75 / np.sqrt(xp + 0.0)  # -0.0 is taken as +0.0: +inf
     return np.select([x <= -1.0, x < 0.0, x < 1.0], [8.0, 24.0 * xn * xn, right], default=1.5)
 
 
@@ -891,6 +918,75 @@ def test_gallery_has_no_np_select():
 # ---------------------------------------------------------------------------
 # rotator, cone witnesses, shift
 # ---------------------------------------------------------------------------
+
+
+# The forms the column-wise oracles replaced: a stack, zeros_like with a
+# shifted slice, and a boolean row scatter of frac[:, None] * kw rows.
+def _stack_rotator_eval(x):
+    x = np.asarray(x, dtype=float)
+    return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+
+
+def _slice_shift_eval(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    out[..., 1:] = x[..., :-1]
+    return out
+
+
+def _row_scatter_staircase_eval(x):
+    p = gallery.default_staircase()
+    pts = np.asarray(x, dtype=float)
+    x1 = pts[..., 0]
+    if np.any(x1 > p.a[p.cap]):
+        raise SequenceOverflow(
+            f"first coordinate beyond segment cap a[{p.cap}] = {p.a[p.cap]:.4g}")
+    vals = np.zeros(x1.shape + (2,))
+    right = ~(x1 <= 0.0)
+    xr = x1[right]
+    seg = np.minimum(np.searchsorted(p.a, xr, side="left"), p.cap)
+    frac = (xr - p.a.take(seg - 1)) / p.pow2.take(seg)
+    walk = p.prefix.take(seg - 1, axis=0)
+    walk += frac[:, None] * p.kw.take(seg, axis=0)
+    vals[right] = walk
+    return vals
+
+
+def _layouts(pts):
+    """``pts`` of shape ``(n, d)`` as 1-d, 2-d, 3-d, empty, transposed,
+    strided-slice and Fortran input."""
+    d = pts.shape[1]
+    return [pts, pts[0], pts[5], pts[:36].reshape(3, 12, d), pts[:36].reshape(12, 3, d)[:, 1],
+            np.empty((0, d)), np.empty((2, 0, d)), np.ascontiguousarray(pts.T).T, pts[::3],
+            pts[1::2, :], np.asfortranarray(pts), pts[:, :].tolist(), pts[-1].tolist()]
+
+
+def _oracle_points(n, d, seed, cap=None):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 301, size=(n, d))
+    pts[::7, 0], pts[1::11, -1], pts[2::13, 0] = -0.0, 0.0, np.nan
+    pts[3::17, -1], pts[4::19, 0], pts[5::23, -1] = np.inf, -np.inf, 5e-324
+    pts[6::29, 0] = -5e-324
+    pts[:40, 0] = rng.uniform(-50.0, 50.0, 40)
+    if cap is not None:  # keep the first coordinate within the staircase's cap
+        pts[:, 0] = np.where(pts[:, 0] > cap, -pts[:, 0], pts[:, 0])
+    return pts
+
+
+@pytest.mark.parametrize("name,fn,before,dims", [
+    ("rotator", gallery.rotator_eval, _stack_rotator_eval, (2, 3)),
+    ("shift", gallery.shift_eval, _slice_shift_eval, (1, 2, 3, 8, 9)),
+    ("staircase", gallery.staircase_eval, _row_scatter_staircase_eval, (2, 3)),
+])
+def test_columnwise_oracles_are_their_former_forms_bit_for_bit(name, fn, before, dims):
+    cap = gallery.default_staircase().a[-1]
+    for d in dims:
+        pts = _oracle_points(400, d, seed=d, cap=cap if name == "staircase" else None)
+        for x in _layouts(pts):
+            _assert_same(_outcome(fn, x), _outcome(before, x), (name, d, np.shape(x)))
+    # 0-d input, one column, a first coordinate beyond the staircase's cap
+    for x in (np.array(1.0), np.ones((3, 1)), [[cap * 2.0, 0.0]]):
+        _assert_same(_outcome(fn, x), _outcome(before, x), (name, np.shape(x)))
 
 
 def test_rotator_examples():
