@@ -118,12 +118,7 @@ class SamplerConfig:
     @staticmethod
     def symmetric(seed: int, sample_count: int, dim: int, half_width: float) -> "SamplerConfig":
         w = float(half_width)
-        return SamplerConfig(
-            seed=seed,
-            sample_count=sample_count,
-            box_low=np.full(dim, -w),
-            box_high=np.full(dim, w),
-        )
+        return SamplerConfig(seed, sample_count, box_low=np.full(dim, -w), box_high=np.full(dim, w))
 
     def describe(self) -> dict:
         return {
@@ -372,16 +367,16 @@ def _points(*arrays) -> list:
 # ---------------------------------------------------------------------------
 #
 # Sampled pairs (x, y) are lifted to four arrays (x, u, y, v): u = T(x) and
-# v = T(y) for a map, the graph points (x, u) and (y, v) for an operator.  A
-# class statistic gives every pair a distance and a value.  Pairs at
-# distance 0 carry no evidence and are dropped; a non-finite distance or
-# kept value raises NumericalFailure, so failed arithmetic never passes for
-# consistency.  The class extreme over a selection of pairs is the estimate
-# and its pair the witness: (x, y) for a map, (x, u, y, v) for an operator.
-# The engine (_measure) does all of this one block of rows at a time, as
-# the sampler (_pair_stream) draws them, and folds each block into running
-# worst pairs, so no drawn or lifted array, distance or value spans the
-# whole draw.
+# v = T(y) for a map, the graph points (x, u) and (y, v) for an operator.
+# Their geometry (_Geometry) gives every pair its distance |x - y|, and a
+# class statistic, a formula on it, a value.  Pairs at distance 0 carry no
+# evidence and are dropped; a non-finite distance or kept value raises
+# NumericalFailure, so failed arithmetic never passes for consistency.  The
+# class extreme over a selection of pairs is the estimate and its pair the
+# witness: (x, y) for a map, (x, u, y, v) for an operator.  The engine
+# (_measure) does all of this one block of rows at a time, as the sampler
+# (_pair_stream) draws them, and folds each block into running worst pairs,
+# so no drawn or lifted array, distance or value spans the whole draw.
 
 
 def _rowsum(p, squares: bool = False):
@@ -423,71 +418,79 @@ def _norm(a):
     return np.sqrt(_sq(a))
 
 
-def _ratio(x, u, y, v, params):
+class _Geometry:
+    """The geometry of a block of pairs ``(x, u)``, ``(y, v)``, built once for
+    all its statistics: the four arrays, ``d = x - y``, ``w = u - v``, ``dd =
+    |d|^2`` and the pair distance ``dist = |d|``; ``wn()`` computes ``|w|``."""
+
+    __slots__ = ("x", "u", "y", "v", "d", "w", "dd", "dist")
+
+    def __init__(self, x, u, y, v):
+        self.x, self.u, self.y, self.v = x, u, y, v
+        self.d, self.w = x - y, u - v
+        self.dd = _sq(self.d)
+        self.dist = np.sqrt(self.dd)
+
+    def wn(self):
+        return _norm(self.w)
+
+
+def _ratio(g, params):
     """``|u - v| / |x - y|``: Lipschitz ratio of a map, growth ratio of a graph."""
-    dist = _norm(x - y)
-    return dist, _norm(u - v) / dist
+    return g.wn() / g.dist
 
 
-def _firm(x, u, y, v, params):
+def _firm(g, params):
     """Violation of ``|u-v|^2 + |(x-u)-(y-v)|^2 <= |x-y|^2``."""
-    d2 = _sq(x - y)
-    return np.sqrt(d2), _sq(u - v) + _sq((x - u) - (y - v)) - d2
+    return _sq(g.w) + _sq((g.x - g.u) - (g.y - g.v)) - g.dd
 
 
-def _averaged(x, u, y, v, params):
+def _averaged(g, params):
     """Violation of ``(1-a)|(x-u)-(y-v)|^2 <= a(|x-y|^2 - |u-v|^2)``."""
-    a, d2 = params["alpha"], _sq(x - y)
-    return np.sqrt(d2), (1.0 - a) * _sq((x - u) - (y - v)) - a * (d2 - _sq(u - v))
+    a = params["alpha"]
+    return (1.0 - a) * _sq((g.x - g.u) - (g.y - g.v)) - a * (g.dd - _sq(g.w))
 
 
-def _product(x, u, y, v, params):
+def _product(g, params):
     """The monotonicity product ``<x-y, u-v>``."""
-    dx = x - y
-    return _norm(dx), _dot(dx, u - v)
+    return _dot(g.d, g.w)
 
 
-def _sigma(x, u, y, v, params):
+def _sigma(g, params):
     """The strong-monotonicity ratio ``<x-y, u-v> / |x-y|^2``."""
-    dx = x - y
-    d2 = _sq(dx)
-    return np.sqrt(d2), _dot(dx, u - v) / d2
+    return _dot(g.d, g.w) / g.dd
 
 
-def _slope(x, u, y, v, params):
+def _slope(g, params):
     """``<x-y, u-v> / |x-y|``; against ``(y, v) = (0, 0)`` the coercivity
     value ``<x, x*> / |x|``."""
-    dx = x - y
-    dist = _norm(dx)
-    return dist, _dot(dx, u - v) / dist
+    return _dot(g.d, g.w) / g.dist
 
 
-def _reflected_modulus(x, u, y, v, params):
+def _reflected_modulus(g, params):
     """Violation of ``|x-y|^2 - |Rx-Ry|^2 >= 4 phi(|u-v|)`` on ``u = J x``,
     ``v = J y`` and ``R = 2 J - Id``, with ``phi`` the :class:`Modulus`
     whose fields ``params["phi"]`` holds."""
-    d2 = _sq(x - y)
-    phi = Modulus(**params["phi"]).value(_norm(u - v))
-    return np.sqrt(d2), 4.0 * phi - (d2 - _sq((2.0 * u - x) - (2.0 * v - y)))
+    phi = Modulus(**params["phi"]).value(g.wn())
+    return 4.0 * phi - (g.dd - _sq((2.0 * g.u - g.x) - (2.0 * g.v - g.y)))
 
 
-def _sne(x, u, y, v, params):
+def _sne(g, params):
     """The strong-nonexpansiveness premise ``|x-y| - |u-v|``, ``u = Tx``."""
-    b = _norm(x - y)
-    return b, b - _norm(u - v)
+    return g.dist - g.wn()
 
 
-def _ssne(x, u, y, v, params):
+def _ssne(g, params):
     """The super-strong premise ``|x-y|^2 - |u-v|^2``, ``u = Tx``."""
-    b, tb = _norm(x - y), _norm(u - v)
-    return b, b * b - tb * tb
+    wn = g.wn()
+    return g.dist * g.dist - wn * wn
 
 
 class ClassSpec(NamedTuple):
-    """A class table row: ``statistic(x, u, y, v, params)`` gives the
-    per-pair ``(distance, value)``, ``extreme`` (``np.argmax`` or
-    ``np.argmin``) picks the worst pair and ``refutes(value, params)`` is
-    the refutation threshold of a worst value, where the class has one.
+    """A class table row: ``statistic(g, params)``, a formula on the block's
+    :class:`_Geometry` ``g``, gives the per-pair value, ``extreme``
+    (``np.argmax`` or ``np.argmin``) picks the worst pair and ``refutes(value,
+    params)`` is the refutation threshold of a worst value, where it has one.
     ``run(target, cfg, *, alpha, t, eps, families)`` runs the certifier on a
     ``target`` of the named kind (``map``, ``resolvent``, ``operator`` or
     ``graph``; :func:`mosk.gallery.target` resolves it for a gallery entry
@@ -627,10 +630,10 @@ def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
     """The engine's block loop.  Each batch of ``draw`` is an iterable of
     blocks, tuples of arrays of the same rows (:func:`_blocks`,
     :func:`_pair_stream`), which ``lift`` maps to the oracle's arrays
-    (``None``: as given).  For each probe, the class statistic gives every
-    pair a distance and a value, the pairs at distance 0 are dropped, and
-    each of the probe's selections folds the block with the keep mask
-    (``None`` when every pair is kept).
+    (``None``: as given).  For each probe, the block's :class:`_Geometry`
+    gives every pair its distance and the class statistic its value, the
+    pairs at distance 0 are dropped, and each of the probe's selections
+    folds the block with the keep mask (``None`` when every pair is kept).
 
     Failed arithmetic raises :class:`NumericalFailure` at once, so it never
     passes for consistency: for each block and probe, a non-finite distance
@@ -642,7 +645,9 @@ def _measure(probes: Sequence[_Probe], draw, lift=None) -> None:
                 spec = CLASSES[probe.name]
                 arrays = lifted if probe.arrays is None else probe.arrays(*lifted)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    dist, value = spec.statistic(*arrays, probe.params)
+                    g = _Geometry(*arrays)
+                    dist, value = g.dist, spec.statistic(g, probe.params)
+                del g  # its block-sized arrays are freed before the folds allocate theirs
                 if not np.isfinite(dist).all():
                     raise NumericalFailure(f"non-finite {probe.name} distance on the sampled pairs")
                 keep = dist > 0
@@ -930,11 +935,7 @@ def scaled_pair_family(direction, gap, name: str = "scaled-pair",
         base = (2.0**n) * u
         return base, base + c
 
-    return WitnessFamily(
-        name=name,
-        generator=gen,
-        n_cap=n_cap,
-    )
+    return WitnessFamily(name=name, generator=gen, n_cap=n_cap)
 
 
 def check_sequential(T: NonexpansiveMap, family: WitnessFamily, mode: str,
@@ -1238,12 +1239,12 @@ def compare_with_declaration(op: MonotoneOperator, cert: ClassCertificate) -> di
 def replay(cert: ClassCertificate, target=None) -> float:
     """Recompute the violating statistic from a certificate's stored witness.
 
-    The class table's statistic runs on the witness as a one-row batch, with
-    the certificate's params.  ``target`` is the map of a two-point witness
-    ``(x, y)`` (``J_A`` for ``reflected-modulus``); a four-point witness
-    ``(x, x*, y, y*)`` carries both graph points and needs none.  A
-    certificate built by hand or loaded from JSON that lacks a parameter of
-    its statistic raises :class:`DomainError`.
+    The class table's statistic runs on the geometry of the witness as a
+    one-row batch, with the certificate's params.  ``target`` is the map of
+    a two-point witness ``(x, y)`` (``J_A`` for ``reflected-modulus``); a
+    four-point witness ``(x, x*, y, y*)`` carries both graph points and
+    needs none.  A certificate built by hand or loaded from JSON that lacks
+    a parameter of its statistic raises :class:`DomainError`.
     """
     if cert.witness is None:
         raise DomainError("certificate has no witness to replay")
@@ -1252,10 +1253,9 @@ def replay(cert: ClassCertificate, target=None) -> float:
         raise DomainError(f"no replay rule for class {cert.class_name!r}")
     pts = [np.asarray(p, dtype=float)[None, :] for p in cert.witness]
     if len(pts) == 2:
-        x, y = pts
-        pts = (x, target(x), y, target(y))
+        pts = _lift(target)(*pts)
     try:
-        return float(spec.statistic(*pts, cert.params)[1][0])
+        return float(spec.statistic(_Geometry(*pts), cert.params)[0])
     except KeyError as missing:
         raise DomainError(f"the {cert.class_name!r} certificate does not hold the "
                           f"parameter {missing} its statistic needs") from None

@@ -121,16 +121,17 @@ _H_SERIES_CUTOFF = 0.004
 
 def _piecewise(x: np.ndarray, *pieces) -> np.ndarray:
     """``x`` evaluated piece by piece: ``out[mask] = fn(x[mask])`` for each
-    ``(mask, fn)`` of ``pieces``, whose masks partition the elements of
-    ``x``.  A piece sees only its own elements, so no piece's work is thrown
-    away, and a piece without elements is not evaluated.  The result is an
-    ndarray of ``x``'s shape, 0-d for 0-d ``x``."""
+    ``(mask, fn)`` of ``pieces``, whose masks are disjoint; an element no
+    mask covers (a NaN) is returned as it is.  A piece sees only its own
+    elements, so no piece's work is thrown away, and a piece without
+    elements is not evaluated.  The result is an ndarray of ``x``'s shape,
+    0-d for 0-d ``x``."""
     if x.ndim == 0:
         # a 0-d x takes its one piece on the numpy scalar, as it always has:
         # a scalar's ``**`` is pow, which can round apart from the array loop
-        fn = next(fn for mask, fn in pieces if mask)
-        return np.asarray(fn(x[()]), dtype=float)
-    out = np.empty(x.shape)
+        fn = next((fn for mask, fn in pieces if mask), None)
+        return x.copy() if fn is None else np.asarray(fn(x[()]), dtype=float)
+    out = x.copy()
     for mask, fn in pieces:
         if np.count_nonzero(mask):  # cheaper than mask.any() on a few elements
             out[mask] = fn(x[mask])
@@ -179,9 +180,8 @@ def _branch_pieces(x: np.ndarray, brk: float, below, mid, above) -> np.ndarray:
     """A clamped-sine branch formula: ``below`` on ``x <= -brk``, ``mid``
     between, ``above`` on ``x >= brk``, each on its own elements.  A NaN lies
     in no piece and is returned as it is."""
-    lo, hi, nan = x <= -brk, x >= brk, np.isnan(x)
-    return _piecewise(x, (lo, below), (hi, above), (nan, lambda v: v),
-                      (~(lo | hi | nan), mid))
+    return _piecewise(x, (x <= -brk, below), (x >= brk, above),
+                      ((-brk < x) & (x < brk), mid))
 
 
 def clamp_sin_operator_eval(x):
@@ -288,11 +288,10 @@ def cubic_resolvent(x):
 
 def _quartic_pieces(x: np.ndarray, lo: float, hi: float, *fns) -> np.ndarray:
     """The four ``fns`` of a quartic-mixed formula on ``(-inf, lo]``, ``(lo,
-    0)``, ``[0, hi)`` and the rest (``[hi, inf)`` and NaN), each evaluated
-    on its own elements only, so no piece can overflow."""
-    neg, below = x < 0.0, x < hi
-    first = x <= lo
-    return _piecewise(x, *zip((first, neg & ~first, below & ~neg, ~below), fns))
+    0)``, ``[0, hi)`` and ``[hi, inf)``, each evaluated on its own elements
+    only, so no piece can overflow; a NaN lies in none and stays NaN."""
+    pieces = (x <= lo, (lo < x) & (x < 0.0), (0.0 <= x) & (x < hi), x >= hi)
+    return _piecewise(x, *zip(pieces, fns))
 
 
 def quartic_mixed_f(x):

@@ -370,7 +370,8 @@ def test_check_growth():
     gc1 = core.minty_sample(gallery.operator("cubic"), (zc + zc**3).reshape(-1, 1))
     gc2 = core.minty_sample(gallery.operator("cubic"), -(zc + zc**3).reshape(-1, 1))
     rows = [a.reshape(-1, 1) for a in (*gc1, *gc2)]
-    dist, ratios = certify.CLASSES["growth-condition"].statistic(*rows, {})
+    g = certify._Geometry(*rows)
+    dist, ratios = g.dist, certify.CLASSES["growth-condition"].statistic(g, {})
     assert np.allclose(ratios, dist**2 / 4.0, rtol=1e-8)
     # the estimate is the smallest ratio of the largest-separation decile
     top = np.argsort(dist)[-20:]
@@ -426,8 +427,8 @@ def test_check_lemma_3_5_witness_is_the_statistic():
     rep = certify.check_lemma_3_5(S, phi_sq, cfg2(n=5_000, width=10.0))
     assert rep.verdict == REFUTED
     x, y = (np.array([p]) for p in rep.witness)
-    _, value = certify.CLASSES["reflected-modulus"].statistic(
-        x, S.resolvent(x), y, S.resolvent(y), rep.params)
+    value = certify.CLASSES["reflected-modulus"].statistic(
+        certify._Geometry(x, S.resolvent(x), y, S.resolvent(y)), rep.params)
     assert value[0] == rep.witness_value == rep.estimates[0]["value"]
 
 
@@ -900,7 +901,8 @@ def test_row_reductions_only_in_rowsum_and_no_resize():
 def _measure_reference(name, arrays, graph, params=None):
     # the whole batch measured at once; a batch is (points, keep, dist, value)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist, value = certify.CLASSES[name].statistic(*arrays, params)
+        g = certify._Geometry(*arrays)
+        dist, value = g.dist, certify.CLASSES[name].statistic(g, params)
     keep = dist > 0
     if not np.all(np.isfinite(dist)):
         raise NumericalFailure(f"non-finite {name} distance on the sampled pairs")
@@ -978,6 +980,148 @@ def test_engine_matches_the_whole_batch_reference(n, name, graph):
         rows = np.arange(n) if keep is None else np.flatnonzero(keep)
         pick = certify.CLASSES[name].extreme
         assert np.any(rows[value == value[pick(value)]] >= BLOCK)
+
+
+# The class statistics as they were before the pair geometry: each builds
+# x - y, u - v and |x - y| itself and returns (distance, value).
+
+
+def _ref_ratio(x, u, y, v, params):
+    dist = certify._norm(x - y)
+    return dist, certify._norm(u - v) / dist
+
+
+def _ref_firm(x, u, y, v, params):
+    d2 = certify._sq(x - y)
+    return np.sqrt(d2), certify._sq(u - v) + certify._sq((x - u) - (y - v)) - d2
+
+
+def _ref_averaged(x, u, y, v, params):
+    a, d2 = params["alpha"], certify._sq(x - y)
+    return np.sqrt(d2), ((1.0 - a) * certify._sq((x - u) - (y - v))
+                         - a * (d2 - certify._sq(u - v)))
+
+
+def _ref_product(x, u, y, v, params):
+    dx = x - y
+    return certify._norm(dx), certify._dot(dx, u - v)
+
+
+def _ref_sigma(x, u, y, v, params):
+    dx = x - y
+    d2 = certify._sq(dx)
+    return np.sqrt(d2), certify._dot(dx, u - v) / d2
+
+
+def _ref_slope(x, u, y, v, params):
+    dx = x - y
+    dist = certify._norm(dx)
+    return dist, certify._dot(dx, u - v) / dist
+
+
+def _ref_reflected_modulus(x, u, y, v, params):
+    d2 = certify._sq(x - y)
+    phi = certify.Modulus(**params["phi"]).value(certify._norm(u - v))
+    return np.sqrt(d2), 4.0 * phi - (d2 - certify._sq((2.0 * u - x) - (2.0 * v - y)))
+
+
+def _ref_sne(x, u, y, v, params):
+    b = certify._norm(x - y)
+    return b, b - certify._norm(u - v)
+
+
+def _ref_ssne(x, u, y, v, params):
+    b, tb = certify._norm(x - y), certify._norm(u - v)
+    return b, b * b - tb * tb
+
+
+_REF_STATISTICS = {f.__name__[4:]: f for f in (
+    _ref_ratio, _ref_firm, _ref_averaged, _ref_product, _ref_sigma, _ref_slope,
+    _ref_reflected_modulus, _ref_sne, _ref_ssne)}
+
+
+def _geometry_rows(dim, seed):
+    """(x, u, y, v) of 40 pairs: random rows with special values strewn in,
+    and rows of x = y, of signed zeros, of subnormals, of +-1e300 (whose
+    squares overflow) and with a NaN."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+    x, u, y, v = (rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+                  for _ in range(4))
+    for a in (x, u, y, v):
+        a.flat[rng.integers(0, a.size, 2 * dim)] = rng.choice(special, 2 * dim)
+    y[0] = x[0]
+    x[1], y[1], u[1], v[1] = -0.0, 0.0, 0.0, -0.0
+    x[2], y[2], u[2], v[2] = 5e-324, -5e-324, -5e-324, 5e-324
+    x[3], y[3], u[3] = 1e300, -1e300, 1e300
+    u[4, dim // 2] = np.nan
+    y[5, 0] = np.nan
+    return x, u, y, v
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 15, 16, 17])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_statistics_on_the_geometry_are_the_old_kernels_bit_for_bit(dim, order):
+    params = {"alpha": 0.3, "phi": {"name": "t^4/4", "table": (), "supercoercive_bound": 0.5}}
+    table = {**params,
+             "phi": {"name": None, "table": ((0.5, 0.1), (2.0, 3.0)), "supercoercive_bound": None}}
+    arrays = tuple(np.asarray(a, order=order) for a in _geometry_rows(dim, seed=dim))
+    assert all(a.flags[f"{order}_CONTIGUOUS"] for a in arrays)
+    # the whole batch, and single rows as replay measures a witness
+    batches = [arrays] + [tuple(a[i:i + 1] for a in arrays) for i in range(6)]
+    names = set()
+    for spec in certify.CLASSES.values():
+        ref = _REF_STATISTICS[spec.statistic.__name__]
+        names.add(spec.statistic.__name__)
+        for p in (params, table):
+            for batch in batches:
+                with np.errstate(all="ignore"):
+                    want_dist, want = ref(*batch, p)
+                    g = certify._Geometry(*batch)
+                    got = spec.statistic(g, p)
+                assert g.dist.tobytes() == want_dist.tobytes(), spec.statistic.__name__
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (spec.statistic.__name__, dim, order)
+    assert names == set(_REF_STATISTICS)
+
+
+def _srg(g):
+    """The scaled-relative-graph point of each pair of a geometry, the input
+    difference d and the output difference w, as (Re z, |Im z|): Re z =
+    <d, w>/|d|^2 and |Im z| = |w_perp|/|d| for the part w_perp of w
+    orthogonal to d, which keeps its digits where sqrt(|d|^2|w|^2 - <d, w>^2)
+    cancels."""
+    re = certify._dot(g.d, g.w) / g.dd
+    return re, certify._norm(g.w - re[:, None] * g.d) / g.dist
+
+
+@pytest.mark.parametrize("name", [n for n in gallery.names()
+                                  if "operator" in gallery.entry(n).kinds])
+def test_reflected_resolvent_srg_is_the_moebius_image_of_the_operators(name):
+    # graph points (J_A x, a_x) with a_x = x - J_A x: the pair (p, q) with
+    # p = J_A x - J_A y, q = a_x - a_y has x - y = p + q and R_A x - R_A y =
+    # p - q, so R_A's point is (1 - z)/(1 + z) for A's point z, up to
+    # conjugation (Ryu, Hannah & Yin, Math. Program. 194, 2022)
+    A = gallery.operator(name, 8 if name == "shift" else None)
+    rng = np.random.default_rng(13)
+    x, y = (rng.uniform(-50.0, 50.0, (20_000, A.dim)) for _ in range(2))
+    gx, gy, R = core.minty_sample(A, x), core.minty_sample(A, y), core.reflected_map(A)
+    graph = certify._Geometry(gx.x, gx.xstar, gy.x, gy.xstar)
+    keep = graph.dist > 0
+    if name == "normal-cone-zero":  # J_A is 0: no pair has J_A x != J_A y
+        assert not keep.any()
+        return
+    assert keep.all()
+    re, im = _srg(graph)
+    moebius = (1.0 - (re + 1j * im)) / (1.0 + (re + 1j * im))
+    reflected = certify._Geometry(x, R(x), y, R(y))
+    re_r, im_r = _srg(reflected)
+    err = np.maximum(np.abs(moebius.real - re_r), np.abs(np.abs(moebius.imag) - im_r))
+    # d, p and q carry rounding of about eps (|x| + |y|), relative to |d|, and
+    # the map z -> (1 - z)/(1 + z) has slope 2/|1 + z|^2 <= 2 for Re z >= 0;
+    # the largest error seen is 2 such units (cubic, 5.8e-13)
+    bound = 8.0 * np.finfo(float).eps * (certify._norm(x) + certify._norm(y)) / reflected.dist
+    assert (err <= bound).all(), (name, float(np.max(err / bound)))
 
 
 def test_engine_raises_an_earlier_value_before_a_later_distance():

@@ -680,3 +680,7 @@ def test_golden_runs_parse():
     assert golden.ENTRIES == gallery.names()
     assert list(golden.CLASSES) == [k for k, spec in cert.CLASSES.items() if spec.run is not None]
     assert len(golden.DEMOS) == 5
+    # the library runs of check_lemma_3_5 name gallery operators and closed forms
+    for op, dim, phi in golden.LEMMA_3_5.values():
+        assert "operator" in gallery.entry(op).kinds and phi in cert.CLOSED_FORMS
+        assert gallery.dimension(op, int(dim)) == int(dim)

@@ -763,7 +763,9 @@ def _ref_quartic_mixed_fsecond(x):
     xn, xp = np.clip(x, -1.0, 0.0), np.clip(x, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         right = 0.75 / np.sqrt(xp + 0.0)  # -0.0 is taken as +0.0: +inf
-    return np.select([x <= -1.0, x < 0.0, x < 1.0], [8.0, 24.0 * xn * xn, right], default=1.5)
+    # a NaN lies on no piece and is returned as it is
+    return np.select([x <= -1.0, x < 0.0, x < 1.0, x >= 1.0], [8.0, 24.0 * xn * xn, right, 1.5],
+                     default=x)
 
 
 def _ref_quartic_mixed_resolvent(x, gamma=1.0):
@@ -872,6 +874,18 @@ def test_piecewise_oracles_are_the_whole_array_forms_bit_for_bit(name):
         inputs += [wide, float(wide[1])]
     for x in inputs:
         _assert_same(_outcome(fn, x), _outcome(ref, x), (name, x))
+
+
+@pytest.mark.parametrize("name", sorted(set(_PIECEWISE) - {"h_value"}))
+def test_piecewise_oracles_map_nan_to_nan(name):
+    # a NaN lies on no piece, so it comes back as it went in, in every shape
+    # (h raises at NaN instead: test_piecewise_oracles_raise_as_the_whole_array_forms)
+    fn = _PIECEWISE[name][0]
+    mixed = np.array([np.nan, 0.5, -3.0, np.nan, 20.0])
+    for x in (np.nan, np.array(np.nan), mixed, mixed.reshape(-1, 1), np.full((3, 1), np.nan)):
+        out = fn(x)
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+        assert (np.isnan(out) == np.isnan(x)).all(), (name, x, out)
 
 
 def test_piecewise_oracles_raise_as_the_whole_array_forms():

@@ -11,7 +11,8 @@ refactor that keeps its outputs leaves no difference.
 The set: the six README commands, every certifier class on every gallery
 entry (``--samples 5000 --seed 3``), the ``selfdual`` runs, the fail-closed
 runs on a ``+-1e200`` box, the splitting runs, the one-million-pair 8-d
-``certify`` and the five demos.
+``certify``, the five demos and three library runs of ``check_lemma_3_5``,
+the one class statistic no command reaches.
 """
 
 from __future__ import annotations
@@ -102,6 +103,25 @@ for _b in ("cubic", "quartic-mixed", "clamp-sin-op"):
 MILLION = {"certify-shift-8-million": ["certify", "--op", "shift", "--dim", "8", "--class",
                                        "nonexpansive", "--samples", "1000000", "--seed", "1"]}
 
+# check_lemma_3_5 of operator argv[1] at dimension argv[2] against the
+# closed-form modulus argv[3]: the certificate's JSON dict, its witness value
+# and, when it has a witness, that witness replayed on J_A
+_LEMMA_3_5 = """\
+import json, sys
+from mosk import certify, gallery
+op, dim, phi = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+A = gallery.operator(op, dim)
+cfg = certify.SamplerConfig.symmetric(3, 5000, dim, 10.0)
+cert = certify.check_lemma_3_5(A, certify.Modulus(name=phi), cfg)
+print(json.dumps(cert.to_json_dict(), indent=2))
+print(repr(cert.witness_value))
+if cert.witness is not None:
+    print(repr(certify.replay(cert, A.resolvent)))
+"""
+LEMMA_3_5 = {"lemma-3-5-rotator-t2": ("rotator", "2", "t^2"),
+             "lemma-3-5-cubic-t4": ("cubic", "1", "t^4/4"),
+             "lemma-3-5-identity-3": ("identity", "3", "t^2")}
+
 # runs the demo at argv[1] as if it lay in the working directory, so that
 # what it writes next to itself lands in the run's directory
 _RUN_COPY = ("import pathlib, sys; p = sys.argv[1]; "
@@ -147,10 +167,12 @@ def main(argv) -> int:
         return 1
     env = _env()
     record(out, RUNS)
+    for name, args in LEMMA_3_5.items():
+        _record(out / name, [sys.executable, "-c", _LEMMA_3_5, *args], env)
     for demo in DEMOS:
         _record(out / f"demo-{demo[:-3]}",
                 [sys.executable, "-W", "error", "-c", _RUN_COPY, str(ROOT / "demos" / demo)], env)
-    print(f"{len(RUNS) + len(DEMOS)} runs recorded under {out}")
+    print(f"{len(RUNS) + len(LEMMA_3_5) + len(DEMOS)} runs recorded under {out}")
     return 0
 
 
