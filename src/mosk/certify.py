@@ -266,36 +266,33 @@ def pair_batches(cfg: SamplerConfig, shell_distances: Optional[Sequence[float]] 
     return X, Y
 
 
-def _ring_pair_batches(rng, dim, dist_floor, ring_samples):
-    """Pairs on the ``RING_COUNT`` nested rings ``|x| in [r, 2r)``,
-    ``r = RING_BASE * 2^k``, separated by a geometric ladder starting at
-    ``dist_floor``; a ring too small for the ladder holds no pairs."""
-    rings = []
-    for k in range(RING_COUNT):
-        r = RING_BASE * 2.0**k
-        smax = 2.0 * r
-        if smax < dist_floor:
-            rings.append((r, np.empty((0, dim)), np.empty((0, dim))))
-            continue
-        x = _unit_dirs(rng, ring_samples, dim)
-        radius = rng.random(ring_samples)
-        radius += 1.0
-        radius *= r
-        _scale_rows(x, radius)
-        y = _unit_dirs(rng, ring_samples, dim)
-        n_lad = int(np.floor(np.log2(smax / dist_floor))) + 1
-        _scale_rows(y, _cycle(dist_floor * 2.0 ** np.arange(n_lad), ring_samples))
-        y += x
-        rings.append((r, x, y))
-    return rings
+def _ring_pair_batches(rng, dim, dist_floor, ring_samples, k):
+    """Ring ``k`` of the scale probe as ``[(r, x, y)]``: pairs with ``|x| in
+    [r, 2r)``, ``r = RING_BASE * 2^k``, separated by a geometric ladder
+    starting at ``dist_floor``; a ring too small for the ladder holds no
+    pairs.  The rings read ``rng`` in order of ``k``.  The triple comes in a
+    list, and not from a generator, because tools that trace the library
+    count the ring pairs on the triples a call returns."""
+    r = RING_BASE * 2.0**k
+    if 2.0 * r < dist_floor:
+        return [(r, np.empty((0, dim)), np.empty((0, dim)))]
+    x = _unit_dirs(rng, ring_samples, dim)
+    _scale_rows(x, (rng.random(ring_samples) + 1.0) * r)
+    y = _unit_dirs(rng, ring_samples, dim)
+    n_lad = int(np.floor(np.log2(2.0 * r / dist_floor))) + 1
+    _scale_rows(y, _cycle(dist_floor * 2.0 ** np.arange(n_lad), ring_samples))
+    y += x
+    return [(r, x, y)]
 
 
 def _draw(cfg: SamplerConfig, knots, ring_samples=RING_SAMPLES):
-    """The pairs of a profile probe: the batches of blocks ``(x, y)``, first
-    the sampled batch with shells at ``knots``, then the scale rings."""
+    """The batches of blocks ``(x, y)`` of a profile probe, each drawn when the
+    engine reaches it: the sampled batch with shells at ``knots``, then the rings."""
+    yield _pair_stream(cfg, knots)
     rng = np.random.default_rng(cfg.seed + 1)
-    rings = _ring_pair_batches(rng, cfg.dim, knots[0], ring_samples)
-    return [_pair_stream(cfg, knots)] + [_blocks(x, y) for _, x, y in rings]
+    for k in range(RING_COUNT):
+        for _, x, y in _ring_pair_batches(rng, cfg.dim, knots[0], ring_samples, k):
+            yield _blocks(x, y)
 
 
 def _knots(values, label: str) -> list:
@@ -374,9 +371,9 @@ def _points(*arrays) -> list:
 # NumericalFailure, so failed arithmetic never passes for consistency.  The
 # class extreme over a selection of pairs is the estimate and its pair the
 # witness: (x, y) for a map, (x, u, y, v) for an operator.  The engine
-# (_measure) does all of this one block of rows at a time, as the sampler
-# (_pair_stream) draws them, and folds each block into running worst pairs,
-# so no drawn or lifted array, distance or value spans the whole draw.
+# (_measure) does all of this one block of rows at a time, as the draw yields
+# them (_pair_stream, then each scale ring when the engine reaches it), and
+# folds each block into running worst pairs, so no array spans the whole draw.
 
 
 def _rowsum(p, squares: bool = False):
@@ -1194,7 +1191,7 @@ def check_selfdual(A: MonotoneOperator, cfg: SamplerConfig,
 
     m1 = _modulus_probe(knots, lambda x, y, g, h: (*g, *h))
     m2 = _modulus_probe(knots, inverse)
-    c3 = _cld_probe(eps, reflected)  # every draw has RING_COUNT rings
+    c3 = _cld_probe(eps, reflected)  # every draw yields RING_COUNT rings, one at a time
     groups = {}
     for at, probe in ((knots, m1), (knots, m2), (eps, c3)):
         groups.setdefault(tuple(at), []).append(probe)
@@ -1239,12 +1236,12 @@ def compare_with_declaration(op: MonotoneOperator, cert: ClassCertificate) -> di
 def replay(cert: ClassCertificate, target=None) -> float:
     """Recompute the violating statistic from a certificate's stored witness.
 
-    The class table's statistic runs on the geometry of the witness as a
-    one-row batch, with the certificate's params.  ``target`` is the map of
-    a two-point witness ``(x, y)`` (``J_A`` for ``reflected-modulus``); a
-    four-point witness ``(x, x*, y, y*)`` carries both graph points and
-    needs none.  A certificate built by hand or loaded from JSON that lacks
-    a parameter of its statistic raises :class:`DomainError`.
+    The class table's statistic runs on the witness's geometry as a one-row
+    batch, with the certificate's params.  A two-point witness ``(x, y)``
+    needs its map as ``target`` (``J_A`` for ``reflected-modulus``); a
+    four-point one ``(x, x*, y, y*)`` carries both graph points.  Any other
+    witness, or a certificate that lacks a parameter of its statistic (built
+    by hand or loaded from JSON), raises :class:`DomainError`.
     """
     if cert.witness is None:
         raise DomainError("certificate has no witness to replay")
@@ -1252,8 +1249,11 @@ def replay(cert: ClassCertificate, target=None) -> float:
     if spec is None:
         raise DomainError(f"no replay rule for class {cert.class_name!r}")
     pts = [np.asarray(p, dtype=float)[None, :] for p in cert.witness]
-    if len(pts) == 2:
+    if len(pts) == 2 and target is not None:
         pts = _lift(target)(*pts)
+    elif len(pts) != 4:
+        raise DomainError(f"cannot replay a {len(pts)}-point witness"
+                          + (" without its map" if len(pts) == 2 else ""))
     try:
         return float(spec.statistic(_Geometry(*pts), cert.params)[0])
     except KeyError as missing:

@@ -331,9 +331,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     except (StepSizeOutOfRange, UnsupportedOperator, DomainError, DimensionMismatch,
-            OSError) as exc:
-        # configuration-level failures, such as two operators of different
-        # dimensions or an output path that cannot be written, are usage errors
+            OSError, MemoryError) as exc:
+        # configuration-level failures, such as operators of different dimensions,
+        # an unwritable output path or a run too large for memory, are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MoskError as exc:

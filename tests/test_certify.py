@@ -446,6 +446,17 @@ def test_replay_reflected_modulus():
         certify.replay(replace(rep, params={}), S.resolvent)
 
 
+def test_replay_of_a_witness_without_its_map_or_of_another_length():
+    S = gallery.operator("rotator")
+    rep = certify.check_lemma_3_5(S, certify.Modulus(name="t^2"), cfg2(n=5_000, width=10.0))
+    assert len(rep.witness) == 2 and certify.replay(rep, S.resolvent) == rep.witness_value
+    with pytest.raises(DomainError, match="2-point witness without its map"):
+        certify.replay(rep)
+    for witness in (rep.witness[:1], rep.witness + rep.witness[:1], rep.witness * 3):
+        with pytest.raises(DomainError, match=f"a {len(witness)}-point witness$"):
+            certify.replay(replace(rep, witness=witness), S.resolvent)
+
+
 def test_modulus_names_a_closed_form():
     assert certify.Modulus(name="t^4/4").value(2.0) == 4.0
     with pytest.raises(DomainError, match="t\\^3"):
@@ -808,7 +819,9 @@ def test_radial_shells_on_a_1e200_box_are_finite(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_ring_pair_batches_match_the_resize_reference(d):
     for floor, samples in ((0.5, 2048), (3.0, 1000), (1e3, 7)):
-        got = certify._ring_pair_batches(np.random.default_rng(d), d, floor, samples)
+        rng = np.random.default_rng(d)
+        got = [ring for k in range(certify.RING_COUNT)
+               for ring in certify._ring_pair_batches(rng, d, floor, samples, k)]
         ref = _ring_pair_batches_reference(np.random.default_rng(d), d, floor, certify.RING_BASE,
                                            certify.RING_COUNT, samples)
         assert len(got) == len(ref)
@@ -818,6 +831,37 @@ def test_ring_pair_batches_match_the_resize_reference(d):
                 assert x.shape == y.shape == (0, d)
             else:
                 assert np.array_equal(_bits(x), _bits(xr)) and np.array_equal(_bits(y), _bits(yr))
+
+
+def test_each_ring_is_drawn_after_the_previous_ring_was_lifted(monkeypatch):
+    # the events in order: a call per ring drawn, a call of the map per
+    # lifted x or y block; a ring's blocks are views of its arrays
+    events = []
+    draw_ring = certify._ring_pair_batches
+
+    def recorded(*args):
+        rings = draw_ring(*args)
+        events.append(("draw", args[-1], rings))
+        return rings
+
+    def half(x):
+        events.append(("lift", None, x))
+        return 0.5 * x
+
+    monkeypatch.setattr(certify, "_ring_pair_batches", recorded)
+    dim, floor = 16, 4.0  # rings of 4 blocks; ring 0 is too small for the floor
+    certify.certify_cld(NonexpansiveMap(dim, half, "half"), [floor],
+                        SamplerConfig.symmetric(3, 1000, dim, 10.0))
+    draws = [i for i, (kind, _, _) in enumerate(events) if kind == "draw"]
+    assert [events[i][1] for i in draws] == list(range(certify.RING_COUNT))
+    assert draws[0] == 2 * -(-1000 // certify._block_rows(dim))  # the sampled batch first
+    for at, end in zip(draws, draws[1:] + [len(events)]):
+        [(_, x, y)] = events[at][2]
+        lifted = [a for _, _, a in events[at + 1:end]]
+        assert len(lifted) == 2 * -(-len(x) // certify._block_rows(dim))
+        assert all(np.shares_memory(a, x if i % 2 == 0 else y) for i, a in enumerate(lifted))
+        assert np.concatenate([x[:0], *lifted[::2]]).tolist() == x.tolist()
+    assert len(events[draws[0]][2][0][1]) == 0 and len(events[draws[1]][2][0][1]) == 2048
 
 
 # The row kernels against the broadcast forms they replaced, bit for bit
@@ -1180,18 +1224,25 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
-@pytest.mark.parametrize("case", ["lipschitz-shift", "modulus-cubic", "selfdual-cubic"])
+@pytest.mark.parametrize("case", ["lipschitz-shift", "modulus-cubic", "selfdual-cubic",
+                                  "cld-shift-64"])
 def test_certifier_peak_is_one_block_plus_its_rings(case, n):
+    # the rings are drawn one at a time: while ring k + 1 is drawn, the
+    # engine still holds the last block of ring k, a view of that ring
     ring_bytes = 0
     if case == "lipschitz-shift":
         cfg, T = SamplerConfig.symmetric(1, n, 8, 50.0), gallery.mapping("shift", 8)
         run = lambda: certify.certify_lipschitz(T, cfg)  # noqa: E731
+    elif case == "cld-shift-64":  # as many floats per draw as at dim 8
+        cfg, T = SamplerConfig.symmetric(1, n // 8, 64, 50.0), gallery.mapping("shift", 64)
+        run = lambda: certify.certify_cld(T, certify.PROBES, cfg)  # noqa: E731
     else:
         cfg, A = SamplerConfig.symmetric(1, n, 1, 50.0), gallery.operator("cubic")
-        rings = certify._ring_pair_batches(np.random.default_rng(cfg.seed + 1), 1, 0.5,
-                                           certify.RING_SAMPLES)
-        ring_bytes = sum(x.nbytes + y.nbytes for _, x, y in rings)
-        del rings
         run = ((lambda: certify.estimate_modulus(A, certify.PROBES, cfg)) if case == "modulus-cubic"
                else (lambda: certify.check_selfdual(A, cfg)))
-    assert _traced_peak(run) <= ring_bytes + 2 * 2**20
+    if case != "lipschitz-shift":  # the largest ring; each holds RING_SAMPLES pairs or none
+        [(_, x, y)] = certify._ring_pair_batches(np.random.default_rng(cfg.seed + 1), cfg.dim,
+                                                 0.5, certify.RING_SAMPLES, certify.RING_COUNT - 1)
+        ring_bytes = x.nbytes + y.nbytes
+        del x, y
+    assert _traced_peak(run) <= 2 * ring_bytes + 2 * 2**20

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mosk import certify as cert
-from mosk import cli, core, gallery
+from mosk import cli, core, gallery, split
 from mosk.cli import main
 
 
@@ -355,6 +355,23 @@ def test_usage_errors_exit1(monkeypatch, capsys, tmp_path):
     assert "error: tol_residual must be >= 0" in err
     assert "error: gamma must be finite" in err and "error: tol must be finite" in err
     assert "numerical failure" not in err
+
+
+def test_a_run_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
+    # numpy raises MemoryError when it cannot allocate an array; the failing
+    # calls are patched in, since a real allocation that large may go ahead
+    # on a host that overcommits memory, and exhaust it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(split, "iterate", refuse)
+    monkeypatch.setattr(cert, "pair_batches", refuse)
+    assert main(["split", "--algo", "pr", "--opA", "normal-cone-zero", "--opB", "zero",
+                 "--x0", "1", "--max-iter", "10"]) == 1
+    assert main(["certify", "--op", "cubic", "--class", "coercive", "--samples", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Unable to allocate 74.5 GiB for an array"] * 2
 
 
 @pytest.mark.parametrize("option,label", [("--t=nan", "t_list"), ("--eps=inf", "eps_list"),
